@@ -32,6 +32,7 @@ from .contrastive import make_pair
 from .formula import DimacsError, Formula, parse_dimacs, serialize_dimacs
 from .gen import GenFamily, GenSpec, gen_corpus, write_corpus
 from .graph import build_lig, export_graph
+from .lpa import clause_mask, strict_supersets
 from .oracle import OracleBudgetError, solve_dpll
 
 EXIT_OK = 0
@@ -44,6 +45,10 @@ MANIFEST_NAME = "manifest.jsonl"
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _DataError(Exception):
     pass
 
 
@@ -66,6 +71,18 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     for pattern in patterns:
         paths.update(Path(p) for p in glob.glob(pattern))
     return sorted(paths)
+
+
+def _output_names(inputs: list[Path], output_name) -> dict[Path, str]:
+    """Each input's output file name; two inputs that would write one file
+    are a usage error naming both, raised before anything is written."""
+    owners: dict[str, Path] = {}
+    for path in inputs:
+        name = output_name(path)
+        if name in owners:
+            raise _UsageError(f"inputs {owners[name]} and {path} both map to output {name}")
+        owners[name] = path
+    return {path: name for name, path in owners.items()}
 
 
 def _ordered_map(worker, items, threads: int) -> list:
@@ -135,6 +152,7 @@ def cmd_augment(args) -> int:
     except ChainParseError as exc:
         raise _UsageError(str(exc)) from exc
     inputs = _expand_inputs(args.input)
+    names = _output_names(inputs, lambda path: path.name)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -162,7 +180,7 @@ def cmd_augment(args) -> int:
                 decisions_before=before.decisions,
                 decisions_after=after.decisions,
             )
-        name = path.name
+        name = names[path]
         (out / name).write_text(serialize_dimacs(augmented), encoding="utf-8")
         record.update(status="ok", output=name, elapsed_ms=_elapsed(started))
         return record
@@ -221,38 +239,39 @@ def cmd_verify(args) -> int:
 def _subsumed_clause_count(formula: Formula) -> int:
     """Clauses that are a strict superset of another clause (duplicates are
     not counted: equal clauses cannot strictly subsume each other)."""
-    sets = [frozenset(c) for c in formula.clauses]
-    count = 0
-    for j, outer in enumerate(sets):
-        for i, inner in enumerate(sets):
-            if i != j and len(inner) < len(outer) and inner < outer:
-                count += 1
-                break
-    return count
+    masks = [clause_mask(c) for c in formula.clauses]
+    supersets = strict_supersets(masks)
+    return sum(1 for mask in masks if mask in supersets)
 
 
 def cmd_stats(args) -> int:
+    try:
+        chain = parse_chain(args.chain) if args.chain else None
+    except ChainParseError as exc:
+        raise _UsageError(str(exc)) from exc
     corpus_dir = Path(args.corpus)
     files = sorted(corpus_dir.glob("*.cnf"))
     if not files:
         print(json.dumps({"instances": 0}, indent=2, sort_keys=True))
         return EXIT_OK
-    chain = parse_chain(args.chain) if args.chain else None
 
     def work(path: Path) -> dict:
-        formula = parse_dimacs(path.read_text(encoding="utf-8"))
-        row = {
-            "clauses": formula.num_clauses,
-            "vars": formula.num_vars,
-            "subsumed": _subsumed_clause_count(formula),
-        }
-        if chain is not None:
-            before = solve_dpll(formula)
-            after = solve_dpll(apply_chain(formula, chain))
-            row.update(
-                decisions_before=before.decisions,
-                decisions_after=after.decisions,
-            )
+        try:
+            formula = parse_dimacs(path.read_text(encoding="utf-8"))
+            row = {
+                "clauses": formula.num_clauses,
+                "vars": formula.num_vars,
+                "subsumed": _subsumed_clause_count(formula),
+            }
+            if chain is not None:
+                before = solve_dpll(formula)
+                after = solve_dpll(apply_chain(formula, chain))
+                row.update(
+                    decisions_before=before.decisions,
+                    decisions_after=after.decisions,
+                )
+        except (DimacsError, ValueError, OracleBudgetError) as exc:
+            raise _DataError(f"{path}: {exc}") from exc
         return row
 
     rows = _ordered_map(work, files, args.threads)
@@ -295,6 +314,7 @@ def cmd_stats(args) -> int:
 
 def cmd_export(args) -> int:
     inputs = _expand_inputs(args.input)
+    names = _output_names(inputs, lambda path: path.stem + ".json")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -305,7 +325,7 @@ def cmd_export(args) -> int:
         except DimacsError as exc:
             record.update(status="error", error=str(exc))
             return record
-        name = path.stem + ".json"
+        name = names[path]
         export_graph(
             build_lig(formula, plus=not args.no_plus),
             out / name,
@@ -417,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _DataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -7,6 +7,12 @@ operation-specific (unit clauses for unit propagation, clause count for
 clause additions, variable count for elimination).  All randomness flows
 through a ``numpy`` PCG64 generator seeded per call, so outputs are a pure
 function of (formula, rate, seed).
+
+Variable elimination and subsumption work on one integer bitmask per clause:
+literal ``+v`` is bit ``2(v-1)`` and ``-v`` is bit ``2(v-1)+1``.  Ascending
+bit order is :func:`~cnfaug.formula.literal_key` order, so a mask decodes to
+the canonical clause tuple, and a clause is tautological exactly when its
+mask has a pair ``2(v-1), 2(v-1)+1`` both set.
 """
 
 from __future__ import annotations
@@ -134,27 +140,58 @@ def pure_literal_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     return Formula(formula.num_vars, kept)
 
 
+def clause_mask(clause: Clause) -> int:
+    """The clause as a literal bitmask (see the module docstring); repeated
+    literals collapse, so non-canonical tuples map like their canonical form."""
+    mask = 0
+    for lit in clause:
+        mask |= 1 << (2 * lit - 2 if lit > 0 else -2 * lit - 1)
+    return mask
+
+
+def _clause_of_mask(mask: int) -> Clause:
+    """Inverse of :func:`clause_mask`: the canonical clause tuple."""
+    lits = []
+    while mask:
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        lits.append(-(bit + 1) // 2 if bit & 1 else bit // 2 + 1)
+        mask ^= low
+    return tuple(lits)
+
+
+def strict_supersets(masks: list[int]) -> set[int]:
+    """The clause masks that strictly contain another mask of ``masks``.
+
+    Pairwise subset checks over the distinct masks, smaller masks first, so
+    each mask is tested only against masks with fewer literals.
+    """
+    distinct = sorted(set(masks), key=int.bit_count)
+    sizes = [m.bit_count() for m in distinct]
+    found = set()
+    for outer, size in zip(distinct, sizes):
+        for inner, inner_size in zip(distinct, sizes):
+            if inner_size >= size:
+                break
+            if inner & outer == inner:
+                found.add(outer)
+                break
+    return found
+
+
 def subsumed_clause_eliminate(formula: Formula) -> Formula:
     """Remove every clause that is a strict superset of another clause.
 
     Exact duplicates count as mutual subsumption; the first occurrence is
     kept.  Pairwise subset checks, O(m^2) in the clause count.
     """
-    sets = [frozenset(c) for c in formula.clauses]
+    masks = [clause_mask(c) for c in formula.clauses]
+    skip = strict_supersets(masks)
     kept = []
-    for j, outer in enumerate(sets):
-        redundant = False
-        for i, inner in enumerate(sets):
-            if i == j:
-                continue
-            if len(inner) < len(outer) and inner < outer:
-                redundant = True
-                break
-            if i < j and inner == outer:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(formula.clauses[j])
+    for clause, mask in zip(formula.clauses, masks):
+        if mask not in skip:
+            skip.add(mask)  # later duplicates go
+            kept.append(clause)
     return Formula(formula.num_vars, tuple(kept))
 
 
@@ -229,37 +266,35 @@ def clause_resolution(
 
 
 def _elimination_plan(
-    clauses: list[Clause], var: int, bound_factor: float
-) -> tuple[list[int], list[Clause]] | None:
-    """Clause indices touching ``var`` and their pairwise resolvents, or
-    ``None`` when the resolvent count exceeds the bound.
+    masks: list[int], pos: list[int], neg: list[int], pbit: int, even: int, bound_factor: float
+) -> list[int] | None:
+    """Resolvent masks of eliminating the variable whose positive literal is
+    the mask ``pbit``, or ``None`` when their count exceeds ``bound_factor``
+    times the touched clauses.
 
-    Clauses containing both polarities of ``var`` are tautologies; they are
-    removed without resolving so the output never mentions ``var``.
+    ``pos``/``neg`` index the clauses holding each polarity.  Clauses holding
+    both are tautologies: they count as touched but are not resolved, so the
+    output never mentions the variable.  Resolvents come in ``pos x neg``
+    order, tautologies skipped and duplicates kept once.
     """
-    pos_idx, neg_idx, touched = [], [], []
-    for i, clause in enumerate(clauses):
-        has_pos, has_neg = var in clause, -var in clause
-        if has_pos or has_neg:
-            touched.append(i)
-        if has_pos and has_neg:
-            continue
-        elif has_pos:
-            pos_idx.append(i)
-        elif has_neg:
-            neg_idx.append(i)
-    resolvents: list[Clause] = []
-    seen: set[Clause] = set()
-    for i in pos_idx:
-        for j in neg_idx:
-            r = resolve(clauses[i], clauses[j], var)
-            if r is None or r in seen:
+    nbit = pbit << 1
+    both = [i for i in pos if masks[i] & nbit]
+    limit = bound_factor * (len(pos) + len(neg) - len(both))
+    if both:
+        pos = [i for i in pos if i not in both]
+        neg = [i for i in neg if i not in both]
+    negs = [masks[j] ^ nbit for j in neg]
+    resolvents: dict[int, None] = {}
+    for i in pos:
+        a = masks[i] ^ pbit
+        for b in negs:
+            r = a | b
+            if r & (r >> 1) & even or r in resolvents:
                 continue
-            seen.add(r)
-            resolvents.append(r)
-            if len(resolvents) > bound_factor * len(touched):
+            resolvents[r] = None
+            if len(resolvents) > limit:
                 return None
-    return touched, resolvents
+    return list(resolvents)
 
 
 def variable_eliminate(
@@ -279,25 +314,43 @@ def variable_eliminate(
     ``num_vars`` is left unchanged (indices may gap).  When no variable fits
     under the bound the actual elimination count is logged and the formula
     so far is returned.
+
+    Each step indexes the clauses by literal on their bitmasks (``+v`` is
+    bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``, as in the module docstring):
+    a resolvent on ``v`` is ``(a ^ p) | (b ^ n)`` for the pivot bits ``p``
+    and ``n``, and it is a tautology when ``r & (r >> 1)`` has an even bit
+    set.  Only the chosen variable's resolvents are decoded, and since
+    ascending bit order is ``literal_key`` order they decode to canonical
+    clauses.  Kept clauses stay as given, in place.
     """
     requested = max(1, _ceil_count(rate, formula.num_vars))
     clauses = list(formula.clauses)
+    masks = [clause_mask(c) for c in clauses]
+    even = (4**formula.num_vars - 1) // 3  # bit 2(v-1) for every variable v
     remaining = set(range(1, formula.num_vars + 1))
     rng = _rng(seed)
     eliminated = 0
     for _ in range(requested):
-        plans = {
-            v: plan
-            for v in sorted(remaining)
-            if (plan := _elimination_plan(clauses, v, resolvent_bound_factor)) is not None
-        }
+        occurrences: list[list[int]] = [[] for _ in range(2 * formula.num_vars)]
+        for i, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                occurrences[low.bit_length() - 1].append(i)
+                mask ^= low
+        plans = {}
+        for v in sorted(remaining):
+            pos, neg = occurrences[2 * v - 2], occurrences[2 * v - 1]
+            plan = _elimination_plan(masks, pos, neg, 1 << (2 * v - 2), even, resolvent_bound_factor)
+            if plan is not None:
+                plans[v] = plan
         if not plans:
             break
-        candidates = sorted(plans)
+        candidates = list(plans)
         var = candidates[int(rng.integers(len(candidates)))]
-        touched, resolvents = plans[var]
-        dropped = set(touched)
-        clauses = [c for i, c in enumerate(clauses) if i not in dropped] + resolvents
+        dropped = set(occurrences[2 * var - 2]).union(occurrences[2 * var - 1])
+        kept = [i for i in range(len(masks)) if i not in dropped]
+        clauses = [clauses[i] for i in kept] + [_clause_of_mask(r) for r in plans[var]]
+        masks = [masks[i] for i in kept] + plans[var]
         remaining.remove(var)
         eliminated += 1
     if eliminated < requested:

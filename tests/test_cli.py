@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cnfaug
 from cnfaug import parse_dimacs, serialize_dimacs
 from cnfaug.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -181,6 +183,65 @@ def test_stats_report(tmp_path, capsys):
     assert report["subsumed_clause_fraction"] == 0.0  # equal-width clauses
     assert "decisions_before_median" in report
     assert "propagation_only_after_fraction" in report
+
+
+def test_stats_unknown_chain_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "src"
+    assert run_gen(src) == EXIT_OK
+    capsys.readouterr()
+    assert main(["stats", "--corpus", str(src), "--chain", "BOGUS"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "BOGUS" in err
+
+
+def test_stats_unparsable_file_is_data_error(tmp_path, capsys):
+    src = tmp_path / "src"
+    assert run_gen(src) == EXIT_OK
+    (src / "broken.cnf").write_text("p cnf 2 1\n1 -2\n")
+    capsys.readouterr()
+    assert main(["stats", "--corpus", str(src)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "broken.cnf" in err
+
+
+def test_stats_oracle_budget_is_data_error(tmp_path, capsys, monkeypatch):
+    from cnfaug import OracleBudgetError, cli
+
+    def exhausted(formula):
+        raise OracleBudgetError("decision budget of 0 exhausted")
+
+    src = tmp_path / "src"
+    assert run_gen(src) == EXIT_OK
+    monkeypatch.setattr(cli, "solve_dpll", exhausted)
+    capsys.readouterr()
+    assert main(["stats", "--corpus", str(src), "--chain", "SC"]) == EXIT_DATA
+    assert "budget" in capsys.readouterr().err
+
+
+def test_stats_dpll_variable_limit_is_data_error(tmp_path, capsys):
+    src = tmp_path / "wide"
+    src.mkdir()
+    (src / "wide.cnf").write_text("p cnf 201 1\n1 -201 0\n")
+    assert main(["stats", "--corpus", str(src)]) == EXIT_OK  # no solve without --chain
+    capsys.readouterr()
+    assert main(["stats", "--corpus", str(src), "--chain", "SC"]) == EXIT_DATA
+    assert "201 variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["augment", "export"])
+def test_same_named_inputs_are_refused_before_writing(tmp_path, capsys, command):
+    for corpus in ("a", "b"):
+        assert main(["gen", "--family", "sr", "--vars", "10", "--count", "1",
+                     "--seed", "3", "--out", str(tmp_path / corpus)]) == EXIT_OK
+    out = tmp_path / "out"
+    chain = ["--chain", "CR:0.2:1"] if command == "augment" else []
+    capsys.readouterr()
+    code = main([command, "--input", str(tmp_path / "a" / "*.cnf"),
+                 str(tmp_path / "b" / "*.cnf"), *chain, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a") in err and str(tmp_path / "b") in err
 
 
 def test_export_and_reimport(tmp_path):

@@ -1,13 +1,21 @@
+import logging
+import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfaug import (
     Formula,
+    GenFamily,
+    GenSpec,
     Label,
     add_unit_literal,
     clause_resolution,
     count_models,
+    gen_corpus,
     make_clause,
     pure_literal_eliminate,
     resolve,
@@ -234,6 +242,119 @@ class TestVariableEliminate:
         brute_preserved(variable_eliminate, *labeled_sample)
 
 
+def _reference_plan(clauses, var, bound_factor):
+    pos_idx, neg_idx, touched = [], [], []
+    for i, clause in enumerate(clauses):
+        has_pos, has_neg = var in clause, -var in clause
+        if has_pos or has_neg:
+            touched.append(i)
+        if has_pos and has_neg:
+            continue
+        elif has_pos:
+            pos_idx.append(i)
+        elif has_neg:
+            neg_idx.append(i)
+    resolvents, seen = [], set()
+    for i in pos_idx:
+        for j in neg_idx:
+            r = resolve(clauses[i], clauses[j], var)
+            if r is None or r in seen:
+                continue
+            seen.add(r)
+            resolvents.append(r)
+            if len(resolvents) > bound_factor * len(touched):
+                return None
+    return touched, resolvents
+
+
+def reference_variable_eliminate(formula, rate, seed, *, resolvent_bound_factor=2.0):
+    """The tuple-and-set VE that the bitmask engine replaced, kept as the
+    reference it must match clause for clause."""
+    requested = max(1, math.ceil(rate * formula.num_vars - 1e-9))
+    clauses = list(formula.clauses)
+    remaining = set(range(1, formula.num_vars + 1))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(requested):
+        plans = {
+            v: plan
+            for v in sorted(remaining)
+            if (plan := _reference_plan(clauses, v, resolvent_bound_factor)) is not None
+        }
+        if not plans:
+            break
+        candidates = sorted(plans)
+        var = candidates[int(rng.integers(len(candidates)))]
+        touched, resolvents = plans[var]
+        dropped = set(touched)
+        clauses = [c for i, c in enumerate(clauses) if i not in dropped] + resolvents
+        remaining.remove(var)
+    return Formula(formula.num_vars, tuple(clauses))
+
+
+def non_canonical(formula: Formula) -> Formula:
+    """Same clauses reversed with a repeated literal, plus two tautologies."""
+    clauses = tuple(tuple(reversed(c)) + c[:1] for c in formula.clauses)
+    clauses += tuple((c[0], -c[0]) + c for c in formula.clauses[:2] if c)
+    return Formula(formula.num_vars, clauses)
+
+
+@st.composite
+def small_formulas(draw):
+    """Up to 7 variables; clauses may be unsorted, repeat literals, be
+    tautologies, repeat each other or be empty."""
+    num_vars = draw(st.integers(1, 7))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=3 * num_vars))
+    return Formula(num_vars, tuple(clauses))
+
+
+class _StopRecords(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.args = []
+
+    def emit(self, record):
+        self.args.append(record.args)
+
+
+class TestVariableEliminateEngine:
+    @pytest.mark.parametrize("bound", [2.0, 1.0, 0.5])
+    def test_matches_reference(self, rng, bound):
+        for idx in range(150):
+            f = random_formula(rng, max_vars=10)
+            for g in (f, non_canonical(f)):
+                for rate in (0.1, 0.5, 1.0):
+                    expected = reference_variable_eliminate(g, rate, idx, resolvent_bound_factor=bound)
+                    assert variable_eliminate(g, rate, idx, resolvent_bound_factor=bound) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        small_formulas(),
+        st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_label_and_vanishing(self, formula, rate, bound, seed):
+        log = logging.getLogger("cnfaug.lpa")
+        handler = _StopRecords()
+        log.addHandler(handler)
+        level = log.level
+        log.setLevel(logging.INFO)
+        try:
+            out = variable_eliminate(formula, rate, seed, resolvent_bound_factor=bound)
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
+        assert solve_brute(out) is solve_brute(formula)
+        requested = max(1, math.ceil(rate * formula.num_vars - 1e-9))
+        eliminated = handler.args[0][0] if handler.args else requested
+        before = {abs(lit) for c in formula.clauses for lit in c}
+        after = {abs(lit) for c in out.clauses for lit in c}
+        assert after <= before
+        # each eliminated variable is distinct and occurs nowhere in the output
+        assert formula.num_vars - len(after) >= eliminated
+
+
 class TestDeterminismAndThroughput:
     @pytest.mark.parametrize(
         "fn",
@@ -265,3 +386,11 @@ class TestDeterminismAndThroughput:
         subsumed_clause_eliminate(chunky)
         quadratic_elapsed = time.perf_counter() - start
         assert quadratic_elapsed < 5.0
+
+        # VE on one SR(40) instance (158 clauses): ~20 ms on bitmasks, and
+        # 240-350 ms on the former tuple-and-set engine
+        sr40 = gen_corpus(GenSpec(GenFamily.SR, 40), 1, 0)[0].formula
+        start = time.perf_counter()
+        variable_eliminate(sr40, 0.3, 0)
+        ve_elapsed = time.perf_counter() - start
+        assert ve_elapsed < 0.1
