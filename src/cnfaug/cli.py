@@ -30,7 +30,7 @@ from . import __version__
 from .chains import ChainParseError, apply_chain, parse_chain
 from .contrastive import make_pair
 from .formula import DimacsError, Formula, parse_dimacs, serialize_dimacs
-from .gen import GenFamily, GenSpec, gen_corpus, write_corpus
+from .gen import MANIFEST_NAME, GenFamily, GenSpec, gen_corpus, write_corpus
 from .graph import build_lig, export_graph
 from .lpa import clause_mask, strict_supersets
 from .oracle import OracleBudgetError, solve_dpll
@@ -41,7 +41,6 @@ EXIT_IO = 2
 EXIT_DATA = 3
 
 THREADS_ENV = "CNFAUG_THREADS"
-MANIFEST_NAME = "manifest.jsonl"
 
 
 class _UsageError(Exception):
@@ -138,8 +137,14 @@ def cmd_gen(args) -> int:
         raise _UsageError(str(exc)) from exc
 
     out = Path(args.out)
+    if out.exists() and any(out.iterdir()):
+        # write_corpus appends to a manifest and overwrites same-named files
+        raise _UsageError(f"output directory {out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    corpus = gen_corpus(spec, args.count, args.seed)
+    try:
+        corpus = gen_corpus(spec, args.count, args.seed)
+    except (ValueError, OracleBudgetError) as exc:
+        raise _DataError(str(exc)) from exc
     header = {"command": "gen", "argv": args._argv, "seed": args.seed, "version": __version__}
     write_corpus(corpus, out, run_header=header)
     print(f"wrote {len(corpus)} instances to {out}")

@@ -3,7 +3,8 @@
 Three families:
 
 * ``SR`` - solver-in-the-loop paired generation: random clauses are appended
-  until the formula first turns unsatisfiable, then the satisfiable twin is
+  until the formula first turns unsatisfiable (the solver runs only when the
+  last model falsifies the new clause), then the satisfiable twin is
   obtained by negating a single literal of the final clause.  Every pair is
   perfectly label-balanced and differs in exactly one literal occurrence.
 * ``UR`` - uniform random k-SAT: each clause draws distinct variables
@@ -112,11 +113,15 @@ def gen_sr(
 ) -> tuple[LabeledInstance, LabeledInstance]:
     """One balanced pair ``(sat, unsat)`` differing in one literal.
 
-    Clauses are sampled and appended, re-solving after each, until the
-    formula first becomes unsatisfiable; negating one seeded-random literal
-    of the final clause gives the satisfiable twin (any model of the prefix
-    falsifies the final clause, hence satisfies the negated literal).  Both
-    labels are re-verified with the oracle.
+    Clauses are sampled and appended until the formula first becomes
+    unsatisfiable.  The model of the last satisfiable solve is kept: a new
+    clause it satisfies leaves the formula satisfiable, so the oracle is
+    called only when the model falsifies the new clause, and its model is
+    replaced on SAT.  No draw depends on a solve, so the pair is the same as
+    with a solve after every clause.  Negating one seeded-random literal of
+    the final clause gives the satisfiable twin (any model of the prefix
+    falsifies the final clause, hence satisfies the negated literal).  The
+    final UNSAT solve and a solve of the twin confirm both labels.
     """
     rng = _rng(seed)
     if isinstance(num_vars, tuple):
@@ -127,6 +132,7 @@ def gen_sr(
         raise ValueError("SR needs at least 2 variables")
 
     clauses: list[tuple[int, ...]] = []
+    model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
     while True:
         width = 1 + int(rng.binomial(1, params.bernoulli_p)) + int(rng.geometric(params.geometric_p))
         width = min(width, n)
@@ -134,8 +140,12 @@ def gen_sr(
         flips = rng.integers(2, size=width)
         clause = make_clause(int(-v if neg else v) for v, neg in zip(variables, flips))
         clauses.append(clause)
-        if solve_dpll(Formula(n, tuple(clauses)), config).label is Label.UNSAT:
+        if model is not None and any(model[abs(lit)] == (lit > 0) for lit in clause):
+            continue  # the model satisfies the whole prefix, so it is still SAT
+        result = solve_dpll(Formula(n, tuple(clauses)), config)
+        if result.label is Label.UNSAT:
             break
+        model = result.assignment
 
     unsat_formula = Formula(n, tuple(clauses))
     final = clauses[-1]

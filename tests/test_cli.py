@@ -64,6 +64,38 @@ def test_gen_determinism_byte_identical(tmp_path):
     assert tree_digest(out) == first
 
 
+def test_gen_refuses_a_non_empty_output_directory(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    out.mkdir()  # an empty directory is accepted
+    assert run_gen(out) == EXIT_OK
+    first = tree_digest(out)
+    capsys.readouterr()
+    assert main(["gen", "--family", "sr", "--vars", "10", "--count", "1",
+                 "--seed", "1", "--out", str(out)]) == EXIT_USAGE
+    assert "not empty" in capsys.readouterr().err
+    assert tree_digest(out) == first
+
+
+def test_gen_dpll_variable_limit_is_data_error(tmp_path, capsys):
+    code = main(["gen", "--family", "ur", "--vars", "201", "--clauses", "5", "--k", "3",
+                 "--count", "1", "--out", str(tmp_path / "wide")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "201 variables" in err
+
+
+def test_gen_oracle_budget_is_data_error(tmp_path, capsys, monkeypatch):
+    from cnfaug import OracleBudgetError, gen
+
+    def exhausted(formula, config):
+        raise OracleBudgetError("decision budget of 0 exhausted")
+
+    monkeypatch.setattr(gen, "solve_dpll", exhausted)
+    assert run_gen(tmp_path / "c") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_augment_and_verify_flow(tmp_path):
     src = tmp_path / "src"
     assert run_gen(src) == EXIT_OK

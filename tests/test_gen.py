@@ -5,21 +5,62 @@ import numpy as np
 import pytest
 
 from cnfaug import (
+    Formula,
     GenFamily,
     GenSpec,
     Label,
+    LabeledInstance,
+    SrParams,
     derive_seed,
     gen_corpus,
     gen_pr,
     gen_sr,
     gen_ur,
     load_corpus,
+    make_clause,
     read_manifest,
     solve_brute,
     solve_dpll,
     write_corpus,
 )
 from conftest import PR10, UR12
+
+
+def reference_gen_sr(num_vars, seed, *, params=SrParams()):
+    """The SR loop that solved the whole prefix after every appended clause,
+    kept as the reference the model-reusing loop must match pair for pair."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if isinstance(num_vars, tuple):
+        n = int(rng.integers(num_vars[0], num_vars[1] + 1))
+    else:
+        n = num_vars
+    clauses = []
+    while True:
+        width = 1 + int(rng.binomial(1, params.bernoulli_p)) + int(rng.geometric(params.geometric_p))
+        width = min(width, n)
+        variables = rng.choice(n, size=width, replace=False) + 1
+        flips = rng.integers(2, size=width)
+        clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(variables, flips)))
+        if solve_dpll(Formula(n, tuple(clauses))).label is Label.UNSAT:
+            break
+    unsat_formula = Formula(n, tuple(clauses))
+    final = clauses[-1]
+    flip_at = int(rng.integers(len(final)))
+    flipped = make_clause(-lit if i == flip_at else lit for i, lit in enumerate(final))
+    sat_formula = Formula(n, tuple(clauses[:-1]) + (flipped,))
+    assert solve_dpll(sat_formula).label is Label.SAT
+    meta = {"family": GenFamily.SR.value, "seed": seed, "num_vars": n}
+    return (
+        LabeledInstance(sat_formula, Label.SAT, {**meta, "role": "sat"}),
+        LabeledInstance(unsat_formula, Label.UNSAT, {**meta, "role": "unsat"}),
+    )
+
+
+SR_IDENTITY_CASES = [
+    *((n, seed) for n in (2, 3, 5, 10, 12) for seed in range(40)),
+    *(((5, 9), seed) for seed in range(40)),
+    *((40, seed) for seed in range(4)),
+]
 
 
 def test_spec_validation():
@@ -70,6 +111,31 @@ class TestSr:
 
     def test_determinism(self):
         assert gen_sr(10, 5) == gen_sr(10, 5)
+
+    def test_matches_solve_every_clause_reference(self):
+        for num_vars, seed in SR_IDENTITY_CASES:
+            assert gen_sr(num_vars, seed) == reference_gen_sr(num_vars, seed), (num_vars, seed)
+
+    def test_skips_solves_the_last_model_answers(self, monkeypatch):
+        import cnfaug.gen
+
+        solve = cnfaug.gen.solve_dpll
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cnfaug.gen, "solve_dpll", counted)
+        reference_calls = 0
+        for seed in range(20):
+            sat_inst, unsat_inst = gen_sr(10, seed)
+            # both labels are still confirmed by the last two solves
+            assert calls[-2:] == [unsat_inst.formula, sat_inst.formula]
+            # the reference solves once per appended clause, then the twin
+            reference_calls += unsat_inst.formula.num_clauses + 1
+        # measured: 163 solves against the reference's 1083
+        assert len(calls) < reference_calls / 3
 
 
 class TestUr:

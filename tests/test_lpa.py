@@ -387,9 +387,15 @@ class TestDeterminismAndThroughput:
         quadratic_elapsed = time.perf_counter() - start
         assert quadratic_elapsed < 5.0
 
+        # one SR(40) pair: ~40 ms when a solve runs only for a clause the
+        # last model falsifies, and 165-241 ms solving after every clause
+        start = time.perf_counter()
+        sr40 = gen_corpus(GenSpec(GenFamily.SR, 40), 1, 0)[0].formula
+        gen_elapsed = time.perf_counter() - start
+        assert gen_elapsed < 0.1
+
         # VE on one SR(40) instance (158 clauses): ~20 ms on bitmasks, and
         # 240-350 ms on the former tuple-and-set engine
-        sr40 = gen_corpus(GenSpec(GenFamily.SR, 40), 1, 0)[0].formula
         start = time.perf_counter()
         variable_eliminate(sr40, 0.3, 0)
         ve_elapsed = time.perf_counter() - start
