@@ -7,8 +7,7 @@ statistics and decision-step comparison), ``export`` (incidence-graph JSON),
 
 Every run is deterministic given its flags: all randomness flows from the
 seeds in the flags and chain strings, manifests record no wall-clock data
-unless ``--timing`` is passed, and per-file work is ordered by input path
-regardless of ``--threads``.
+unless ``--timing`` is passed, and per-file work runs in input-path order.
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data failure (unparsable
 inputs, oracle budget exhaustion, or label flips under ``verify --strict``).
@@ -19,29 +18,24 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .chains import ChainParseError, apply_chain, parse_chain
 from .contrastive import make_pair
-from .formula import DimacsError, Formula, parse_dimacs, serialize_dimacs
-from .gen import MANIFEST_NAME, GenFamily, GenSpec, gen_corpus, write_corpus
+from .formula import DimacsError, Formula, clause_mask, parse_dimacs, serialize_dimacs
+from .gen import GenFamily, GenSpec, append_manifest, gen_corpus, write_corpus
 from .graph import build_lig, export_graph
-from .lpa import clause_mask, strict_supersets
+from .lpa import strict_supersets
 from .oracle import OracleBudgetError, solve_dpll
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DATA = 3
-
-THREADS_ENV = "CNFAUG_THREADS"
-
 
 class _UsageError(Exception):
     pass
@@ -56,13 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
@@ -84,31 +71,8 @@ def _output_names(inputs: list[Path], output_name) -> dict[Path, str]:
     return {path: name for name, path in owners.items()}
 
 
-def _ordered_map(worker, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
-
-
-class _Manifest:
-    """Append-only JSON-lines run manifest inside an output directory."""
-
-    def __init__(self, out_dir: Path, command: str, argv: list[str], seed: int | None):
-        self.path = out_dir / MANIFEST_NAME
-        self.header = {
-            "type": "run",
-            "command": command,
-            "argv": argv,
-            "seed": seed,
-            "version": __version__,
-        }
-
-    def write(self, records: list[dict]) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.header, sort_keys=True) + "\n")
-            for record in records:
-                fh.write(json.dumps({"type": "instance", **record}, sort_keys=True) + "\n")
+def _run_header(command: str, argv: list[str], seed: int | None = None) -> dict:
+    return {"command": command, "argv": argv, "seed": seed, "version": __version__}
 
 
 def _elapsed(started: float | None) -> float | None:
@@ -138,15 +102,14 @@ def cmd_gen(args) -> int:
 
     out = Path(args.out)
     if out.exists() and any(out.iterdir()):
-        # write_corpus appends to a manifest and overwrites same-named files
+        # checked before generating; write_corpus only refuses names it would write
         raise _UsageError(f"output directory {out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     try:
         corpus = gen_corpus(spec, args.count, args.seed)
     except (ValueError, OracleBudgetError) as exc:
         raise _DataError(str(exc)) from exc
-    header = {"command": "gen", "argv": args._argv, "seed": args.seed, "version": __version__}
-    write_corpus(corpus, out, run_header=header)
+    write_corpus(corpus, out, run_header=_run_header("gen", args._argv, args.seed))
     print(f"wrote {len(corpus)} instances to {out}")
     return EXIT_OK
 
@@ -190,8 +153,8 @@ def cmd_augment(args) -> int:
         record.update(status="ok", output=name, elapsed_ms=_elapsed(started))
         return record
 
-    records = _ordered_map(work, inputs, args.threads)
-    _Manifest(out, "augment", args._argv, None).write(records)
+    records = [work(path) for path in inputs]
+    append_manifest(out, _run_header("augment", args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"augmented {len(records) - failures}/{len(records)} files into {out}")
     return EXIT_DATA if failures else EXIT_OK
@@ -223,7 +186,7 @@ def cmd_verify(args) -> int:
         )
         return record
 
-    records = _ordered_map(work, before_files, args.threads)
+    records = [work(path) for path in before_files]
     flipped = [Path(r["input"]).name for r in records if r.get("preserved") is False]
     errors = sum(1 for r in records if r["status"] == "error")
     report = {
@@ -279,7 +242,7 @@ def cmd_stats(args) -> int:
             raise _DataError(f"{path}: {exc}") from exc
         return row
 
-    rows = _ordered_map(work, files, args.threads)
+    rows = [work(path) for path in files]
     total_clauses = sum(r["clauses"] for r in rows)
     report = {
         "instances": len(rows),
@@ -340,8 +303,8 @@ def cmd_export(args) -> int:
         record.update(status="ok", output=name)
         return record
 
-    records = _ordered_map(work, inputs, args.threads)
-    _Manifest(out, "export", args._argv, None).write(records)
+    records = [work(path) for path in inputs]
+    append_manifest(out, _run_header("export", args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"exported {len(records) - failures}/{len(records)} graphs into {out}")
     return EXIT_DATA if failures else EXIT_OK
@@ -369,7 +332,7 @@ def cmd_pair(args) -> int:
         {"input": str(path), "chain": args.chain1, "output": names[0], "status": "ok"},
         {"input": str(path), "chain": args.chain2, "output": names[1], "status": "ok"},
     ]
-    _Manifest(out, "pair", args._argv, None).write(records)
+    append_manifest(out, _run_header("pair", args._argv), records)
     print(f"wrote {names[0]} and {names[1]} to {out}")
     return EXIT_OK
 
@@ -421,9 +384,6 @@ def build_parser() -> _Parser:
     p.add_argument("--chain2", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pair)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--threads", type=int, default=_default_threads())
     return parser
 
 

@@ -6,6 +6,12 @@ literals sorted by (variable index, positive-before-negative) with exact
 duplicates removed; the empty clause represents falsum.  A formula is an
 ordered sequence of clauses over a declared variable count; duplicate
 clauses are permitted and clause order is preserved by every operation.
+
+The search and elimination engines work on one integer bitmask per clause:
+literal ``+v`` is bit ``2(v-1)`` and ``-v`` is bit ``2(v-1)+1``.  Ascending
+bit order is :func:`literal_key` order, so a mask decodes to the canonical
+clause tuple, and a clause is tautological exactly when its mask has a pair
+``2(v-1), 2(v-1)+1`` both set.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping
 
 Literal = int
@@ -52,6 +60,39 @@ def make_clause(literals: Iterable[int]) -> Clause:
             raise ValueError("literal 0 is reserved as the DIMACS terminator")
         lits.add(lit)
     return tuple(sorted(lits, key=literal_key))
+
+
+def clause_mask(clause: Clause) -> int:
+    """The clause as a literal bitmask (see the module docstring); repeated
+    literals collapse, so non-canonical tuples map like their canonical form."""
+    mask = 0
+    for lit in clause:
+        mask |= 1 << (2 * lit - 2 if lit > 0 else -2 * lit - 1)
+    return mask
+
+
+def clause_of_mask(mask: int) -> Clause:
+    """Inverse of :func:`clause_mask`: the canonical clause tuple."""
+    lits = []
+    while mask:
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        lits.append(-(bit + 1) // 2 if bit & 1 else bit // 2 + 1)
+        mask ^= low
+    return tuple(lits)
+
+
+def positive_bits(num_vars: int) -> int:
+    """The mask of every positive literal ``1..num_vars`` (the even bits)."""
+    return (4**num_vars - 1) // 3
+
+
+def polarities(masks: Iterable[int], even: int) -> tuple[int, int]:
+    """``(pos, neg)``: the variables occurring positively and negatively in
+    the clause masks, as positive-literal bits (``even`` is :func:`positive_bits`).
+    The pure variables are ``pos ^ neg``, the occurring ones ``pos | neg``."""
+    union = reduce(or_, masks, 0)
+    return union & even, (union >> 1) & even
 
 
 def is_canonical(clause: Clause) -> bool:

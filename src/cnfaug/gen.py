@@ -23,11 +23,12 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .formula import Formula, Label, make_clause, parse_dimacs, serialize_dimacs
+from .lpa import seeded_rng
 from .oracle import DEFAULT_CONFIG, SolverConfig, solve_dpll
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -100,10 +101,6 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def gen_sr(
     num_vars: int | tuple[int, int],
     seed: int,
@@ -123,7 +120,7 @@ def gen_sr(
     falsifies the final clause, hence satisfies the negated literal).  The
     final UNSAT solve and a solve of the twin confirm both labels.
     """
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     if isinstance(num_vars, tuple):
         n = int(rng.integers(num_vars[0], num_vars[1] + 1))
     else:
@@ -175,7 +172,7 @@ def gen_ur(
     """Uniform random k-SAT instance with an oracle-assigned label."""
     if not 1 <= clause_len <= num_vars:
         raise ValueError("clause_len must lie in [1, num_vars]")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     clauses = []
     for _ in range(num_clauses):
         variables = rng.choice(num_vars, size=clause_len, replace=False) + 1
@@ -215,7 +212,7 @@ def gen_pr(
         raise ValueError("clause_len must lie in [1, num_vars]")
     if power_exponent <= 1:
         raise ValueError("power_exponent must exceed 1")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     weights = _power_weights(num_vars, power_exponent)
     clauses = []
     for _ in range(num_clauses):
@@ -290,25 +287,34 @@ def write_corpus(
     """Write one DIMACS file per instance plus a JSON-lines manifest.
 
     Manifest records carry path (relative to the directory), label, family,
-    seed, and the remaining generator parameters.  Appends if a manifest is
-    already present.  Returns the manifest path.
+    seed, and the remaining generator parameters.  Raises
+    :class:`FileExistsError`, before writing anything, when the directory
+    already holds a manifest or a file of one of the instance names.
+    Returns the manifest path.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = out / MANIFEST_NAME
+    names = [f"{i:05d}_{inst.label.value}.cnf" for i, inst in enumerate(instances)]
+    used = next((p for p in (manifest, *(out / name for name in names)) if p.exists()), None)
+    if used is not None:
+        raise FileExistsError(f"{out} already holds {used.name}")
+    out.mkdir(parents=True, exist_ok=True)
+    records = []
+    for name, inst in zip(names, instances):
+        (out / name).write_text(serialize_dimacs(inst.formula), encoding="utf-8")
+        records.append({"path": name, "label": inst.label.value, **inst.meta})
+    return append_manifest(out, run_header, records)
+
+
+def append_manifest(out_dir: Path, run_header: dict | None, records: Iterable[dict]) -> Path:
+    """Append a ``run`` record (when a header is given) and one ``instance``
+    record per entry to the directory's manifest; returns the manifest path."""
+    manifest = out_dir / MANIFEST_NAME
     with open(manifest, "a", encoding="utf-8") as mh:
         if run_header is not None:
             mh.write(json.dumps({"type": "run", **run_header}, sort_keys=True) + "\n")
-        for i, inst in enumerate(instances):
-            name = f"{i:05d}_{inst.label.value}.cnf"
-            (out / name).write_text(serialize_dimacs(inst.formula), encoding="utf-8")
-            record = {
-                "type": "instance",
-                "path": name,
-                "label": inst.label.value,
-                **{k: v for k, v in inst.meta.items()},
-            }
-            mh.write(json.dumps(record, sort_keys=True) + "\n")
+        for record in records:
+            mh.write(json.dumps({"type": "instance", **record}, sort_keys=True) + "\n")
     return manifest
 
 

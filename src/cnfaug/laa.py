@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .formula import Clause, Formula, literal_key, make_clause
 from .graph import adjacency, build_lig
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+from .lpa import seeded_rng
 
 
 def _floor_count(rate: float, base: int) -> int:
@@ -35,7 +30,7 @@ def drop_clauses(formula: Formula, rate: float, seed: int) -> Formula:
     count = _floor_count(rate, formula.num_clauses)
     if count == 0:
         return formula
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     dropped = set(rng.choice(formula.num_clauses, size=count, replace=False).tolist())
     kept = tuple(c for i, c in enumerate(formula.clauses) if i not in dropped)
     return Formula(formula.num_vars, kept)
@@ -48,7 +43,7 @@ def drop_variables(formula: Formula, rate: float, seed: int) -> Formula:
     count = _floor_count(rate, formula.num_vars)
     if count == 0:
         return formula
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     dropped = set((rng.choice(formula.num_vars, size=count, replace=False) + 1).tolist())
     kept: list[Clause] = []
     for clause in formula.clauses:
@@ -70,7 +65,7 @@ def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
     edits = _floor_count(rate, occurrences)
     if edits == 0:
         return formula
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     clauses: list[list[int]] = [list(c) for c in formula.clauses]
     for _ in range(edits):
         remove = bool(rng.integers(2))
@@ -110,7 +105,7 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     if graph.num_nodes == 0:
         raise ValueError("cannot take a subgraph of an empty formula")
     steps = max(0, math.ceil(rate * graph.num_nodes - 1e-9))
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     nbrs = adjacency(graph)
     current = int(rng.integers(graph.num_nodes))
     visited = {current}

@@ -8,11 +8,9 @@ clause additions, variable count for elimination).  All randomness flows
 through a ``numpy`` PCG64 generator seeded per call, so outputs are a pure
 function of (formula, rate, seed).
 
-Variable elimination and subsumption work on one integer bitmask per clause:
-literal ``+v`` is bit ``2(v-1)`` and ``-v`` is bit ``2(v-1)+1``.  Ascending
-bit order is :func:`~cnfaug.formula.literal_key` order, so a mask decodes to
-the canonical clause tuple, and a clause is tautological exactly when its
-mask has a pair ``2(v-1), 2(v-1)+1`` both set.
+Variable elimination, subsumption and the pure-variable scan work on one
+integer bitmask per clause, in the literal-bit convention of
+:mod:`cnfaug.formula` (``+v`` is bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``).
 """
 
 from __future__ import annotations
@@ -22,7 +20,15 @@ import math
 
 import numpy as np
 
-from .formula import Clause, Formula, make_clause
+from .formula import (
+    Clause,
+    Formula,
+    clause_mask,
+    clause_of_mask,
+    make_clause,
+    polarities,
+    positive_bits,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +36,8 @@ DEFAULT_MAX_RESOLVE_ATTEMPTS = 50
 DEFAULT_RESOLVENT_BOUND_FACTOR = 2.0
 
 
-def _rng(seed: int) -> np.random.Generator:
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The PCG64 generator every seeded function of the package draws from."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -71,7 +78,7 @@ def unit_propagate(
     steps = units_at_start if to_fixpoint else _ceil_count(rate, units_at_start)
     if steps == 0:
         return formula
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     done = 0
     while to_fixpoint or done < steps:
         unit_positions = [i for i, c in enumerate(clauses) if len(c) == 1]
@@ -92,7 +99,7 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
     unit clause goes first, new clauses last.  Inverse of one propagation
     step, so the label is preserved.
     """
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     fresh = formula.num_vars + 1
     lit = -fresh if rng.integers(2) else fresh
     m = formula.num_clauses
@@ -118,11 +125,10 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
 
 
 def _pure_variables(formula: Formula) -> list[int]:
-    polarity: dict[int, int] = {}
-    for clause in formula.clauses:
-        for lit in clause:
-            polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
-    return sorted(v for v, mask in polarity.items() if mask != 3)
+    """Variables occurring in a single polarity, by the rule DPLL uses."""
+    pos, neg = polarities(map(clause_mask, formula.clauses), positive_bits(formula.num_vars))
+    pure = pos ^ neg
+    return [v for v in range(1, formula.num_vars + 1) if pure >> (2 * v - 2) & 1]
 
 
 def pure_literal_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
@@ -132,32 +138,12 @@ def pure_literal_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     count = _ceil_count(rate, len(pure))
     if count == 0:
         return formula
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     chosen = set(rng.choice(np.asarray(pure), size=count, replace=False).tolist())
     kept = tuple(
         c for c in formula.clauses if not any(abs(lit) in chosen for lit in c)
     )
     return Formula(formula.num_vars, kept)
-
-
-def clause_mask(clause: Clause) -> int:
-    """The clause as a literal bitmask (see the module docstring); repeated
-    literals collapse, so non-canonical tuples map like their canonical form."""
-    mask = 0
-    for lit in clause:
-        mask |= 1 << (2 * lit - 2 if lit > 0 else -2 * lit - 1)
-    return mask
-
-
-def _clause_of_mask(mask: int) -> Clause:
-    """Inverse of :func:`clause_mask`: the canonical clause tuple."""
-    lits = []
-    while mask:
-        low = mask & -mask
-        bit = low.bit_length() - 1
-        lits.append(-(bit + 1) // 2 if bit & 1 else bit // 2 + 1)
-        mask ^= low
-    return tuple(lits)
 
 
 def strict_supersets(masks: list[int]) -> set[int]:
@@ -235,6 +221,8 @@ def clause_resolution(
     Pairs are drawn uniformly over complementary literal occurrences of the
     input (with replacement); tautological resolvents and duplicates of
     current clauses are skipped and redrawn within a bounded attempt budget.
+    When the budget runs out first, fewer resolvents are appended and an
+    INFO record gives the count added, the count requested and the budget.
     Identity when no complementary pair exists.
     """
     target = _ceil_count(rate, formula.num_clauses)
@@ -247,7 +235,7 @@ def clause_resolution(
     weights = np.array([len(pos[v]) * len(neg[v]) for v in pivots], dtype=float)
     weights /= weights.sum()
 
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     existing = {make_clause(c) for c in formula.clauses}
     added: list[Clause] = []
     budget = max_attempts_per_resolvent * target
@@ -262,6 +250,14 @@ def clause_resolution(
             continue
         existing.add(resolvent)
         added.append(resolvent)
+    if len(added) < target:
+        logger.info(
+            "clause resolution added %d of %d requested resolvents "
+            "(attempt budget of %d exhausted)",
+            len(added),
+            target,
+            budget,
+        )
     return Formula(formula.num_vars, formula.clauses + tuple(added))
 
 
@@ -326,9 +322,9 @@ def variable_eliminate(
     requested = max(1, _ceil_count(rate, formula.num_vars))
     clauses = list(formula.clauses)
     masks = [clause_mask(c) for c in clauses]
-    even = (4**formula.num_vars - 1) // 3  # bit 2(v-1) for every variable v
+    even = positive_bits(formula.num_vars)
     remaining = set(range(1, formula.num_vars + 1))
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     eliminated = 0
     for _ in range(requested):
         occurrences: list[list[int]] = [[] for _ in range(2 * formula.num_vars)]
@@ -349,7 +345,7 @@ def variable_eliminate(
         var = candidates[int(rng.integers(len(candidates)))]
         dropped = set(occurrences[2 * var - 2]).union(occurrences[2 * var - 1])
         kept = [i for i in range(len(masks)) if i not in dropped]
-        clauses = [clauses[i] for i in kept] + [_clause_of_mask(r) for r in plans[var]]
+        clauses = [clauses[i] for i in kept] + [clause_of_mask(r) for r in plans[var]]
         masks = [masks[i] for i in kept] + plans[var]
         remaining.remove(var)
         eliminated += 1

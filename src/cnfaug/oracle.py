@@ -2,7 +2,11 @@
 
 The DPLL solver realizes the labelling function used throughout the toolkit
 and reports how many branching decisions it made, which the stats tooling
-uses as a proxy difficulty measure.  The brute-force routines enumerate all
+uses as a proxy difficulty measure.  It searches on one integer bitmask per
+clause (the literal-bit convention of :mod:`cnfaug.formula`): a conflict is
+an empty mask, a unit a mask with one bit set, the pure and active variables
+come from the OR of all masks, and assigning a literal is one filter and one
+AND over the clause list.  The brute-force routines enumerate all
 assignments (vectorized over bit patterns) and serve as the independent
 oracle for property tests; they are intentionally a separate code path from
 the DPLL search.
@@ -15,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .formula import Formula, Label
+from .formula import Formula, Label, clause_mask, polarities, positive_bits
 
 BRUTE_MAX_VARS = 24
 _CHUNK_BITS = 18  # assignments are enumerated in blocks of 2**_CHUNK_BITS
@@ -49,97 +53,89 @@ class SolveResult:
     propagations: int
 
 
-def _simplify(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]] | None:
-    """Assign ``lit`` true: drop satisfied clauses, shrink the rest.
-
-    Returns ``None`` as soon as an empty clause appears.
-    """
-    out = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            reduced = tuple(x for x in clause if x != -lit)
-            if not reduced:
-                return None
-            out.append(reduced)
-        else:
-            out.append(clause)
-    return out
+def _assign(clauses: list[int], lit: int, comp: int) -> list[int] | None:
+    """Set the literal bit ``lit`` true (``comp`` is its complement); ``None``
+    when a clause becomes empty."""
+    keep = ~comp
+    reduced = [c & keep for c in clauses if not c & lit]
+    return None if 0 in reduced else reduced
 
 
 class _Search:
-    def __init__(self, config: SolverConfig):
+    def __init__(self, config: SolverConfig, num_vars: int):
         self.config = config
+        self.even = positive_bits(num_vars)
         self.decisions = 0
         self.propagations = 0
 
-    def run(self, clauses: list[tuple[int, ...]], assignment: dict[int, bool]) -> dict[int, bool] | None:
-        while True:
-            if any(len(c) == 0 for c in clauses):
-                return None
-            if not clauses:
-                return assignment
-
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is not None:
+    def run(self, clauses: list[int], trail: int) -> int | None:
+        """Search below a state free of empty clauses; returns ``trail`` (the
+        mask of literals set true) extended to a model, or ``None``."""
+        while clauses:
+            unit = next((c for c in clauses if not c & (c - 1)), 0)
+            if unit:
                 self.propagations += 1
-                assignment[abs(unit)] = unit > 0
-                reduced = _simplify(clauses, unit)
-                if reduced is None:
+                trail |= unit
+                comp = unit << 1 if unit & self.even else unit >> 1
+                clauses = _assign(clauses, unit, comp)
+                if clauses is None:
                     return None
-                clauses = reduced
                 continue
 
-            polarity: dict[int, int] = {}  # var -> bitmask of seen polarities
-            for clause in clauses:
-                for lit in clause:
-                    polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
-            pure = min((v for v, mask in polarity.items() if mask != 3), default=None)
-            if pure is not None:
+            pos, neg = polarities(clauses, self.even)
+            pure = pos ^ neg
+            if pure:
                 self.propagations += 1
-                lit = pure if polarity[pure] == 1 else -pure
-                assignment[abs(lit)] = lit > 0
+                low = pure & -pure  # the lowest pure variable
+                lit = low if pos & low else low << 1
+                trail |= lit
                 # A pure literal never shrinks a clause, so this cannot fail.
-                clauses = [c for c in clauses if lit not in c]
+                clauses = [c for c in clauses if not c & lit]
                 continue
 
-            # Branch on the lowest-indexed variable still active, true first.
-            var = min(polarity)
-            for lit in (var, -var):
+            # Branch on the lowest-indexed variable still active (no variable
+            # is pure, so pos holds them all), true first.
+            low = pos & -pos
+            for lit, comp in ((low, low << 1), (low << 1, low)):
                 self.decisions += 1
                 if self.decisions > self.config.max_decisions:
                     raise OracleBudgetError(
                         f"decision budget of {self.config.max_decisions} exhausted"
                     )
-                reduced = _simplify(clauses, lit)
+                reduced = _assign(clauses, lit, comp)
                 if reduced is None:
                     continue
-                branch = dict(assignment)
-                branch[var] = lit > 0
-                result = self.run(reduced, branch)
+                result = self.run(reduced, trail | lit)
                 if result is not None:
                     return result
             return None
+        return trail
 
 
 def solve_dpll(formula: Formula, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Decide satisfiability with DPLL (unit propagation + pure literals).
 
-    Deterministic: branching always picks the lowest-indexed variable among
-    those still occurring in the simplified formula, trying true first.
-    Raises :class:`OracleBudgetError` when the decision budget runs out;
-    never returns a wrong label.
+    Deterministic: each step propagates the first unit clause, else the
+    lowest-indexed pure variable, else branches on the lowest-indexed active
+    variable, true first.  Raises :class:`OracleBudgetError` when the decision
+    budget runs out; never returns a wrong label.
+
+    Clauses are read as literal sets (bitmasks), so a hand-built tuple with a
+    repeated literal, such as ``(1, 1)``, is a unit: its label stays exact,
+    but the counts may differ from a search on the literal sequence.
+    Canonical clauses, all that parsing, the generators and the
+    augmentations produce, hold no repeated literal.
     """
     if formula.num_vars > config.max_vars:
         raise ValueError(
             f"{formula.num_vars} variables exceeds the configured limit {config.max_vars}"
         )
-    search = _Search(config)
-    found = search.run([tuple(c) for c in formula.clauses], {})
+    search = _Search(config, formula.num_vars)
+    masks = [clause_mask(c) for c in formula.clauses]
+    found = None if 0 in masks else search.run(masks, 0)
     if found is None:
         return SolveResult(Label.UNSAT, None, search.decisions, search.propagations)
-    assignment = {v: found.get(v, True) for v in range(1, formula.num_vars + 1)}
+    assignment = {v: not found >> (2 * v - 1) & 1 for v in range(1, formula.num_vars + 1)}
     return SolveResult(Label.SAT, assignment, search.decisions, search.propagations)
 
 

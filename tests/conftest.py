@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cnfaug import (
     Formula,
@@ -47,6 +48,23 @@ def random_formula(rng: np.random.Generator, max_vars: int = 8) -> Formula:
             clauses.append(clauses[-1])  # duplicate clause
     if num_clauses and rng.random() < 0.02:
         clauses.append(())  # falsum
+    return Formula(num_vars, tuple(clauses))
+
+
+def non_canonical(formula: Formula) -> Formula:
+    """Same clauses reversed with a repeated literal, plus two tautologies."""
+    clauses = tuple(tuple(reversed(c)) + c[:1] for c in formula.clauses)
+    clauses += tuple((c[0], -c[0]) + c for c in formula.clauses[:2] if c)
+    return Formula(formula.num_vars, clauses)
+
+
+@st.composite
+def small_formulas(draw):
+    """Up to 7 variables; clauses may be unsorted, repeat literals, be
+    tautologies, repeat each other or be empty."""
+    num_vars = draw(st.integers(1, 7))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=3 * num_vars))
     return Formula(num_vars, tuple(clauses))
 
 

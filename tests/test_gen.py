@@ -226,6 +226,21 @@ class TestCorpus:
         assert [i.formula for i in loaded] == [i.formula for i in sample]
         assert [i.label for i in loaded] == [i.label for i in sample]
 
+    def test_second_write_into_one_directory_is_refused(self, tmp_path, sr_corpus):
+        out = tmp_path / "corpus"
+        write_corpus(sr_corpus[:4], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        loaded = load_corpus(out)
+        for second in (sr_corpus[:2], sr_corpus[10:16]):
+            with pytest.raises(FileExistsError):
+                write_corpus(second, out)
+        (out / "manifest.jsonl").unlink()
+        with pytest.raises(FileExistsError):  # a same-named .cnf file alone
+            write_corpus(sr_corpus[:1], out)
+        (out / "manifest.jsonl").write_bytes(before["manifest.jsonl"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert load_corpus(out) == loaded
+
     def test_manifest_records_are_json_lines_with_provenance(self, tmp_path, ur_corpus):
         write_corpus(ur_corpus[:3], tmp_path / "c", run_header={"command": "test"})
         records = read_manifest(tmp_path / "c")

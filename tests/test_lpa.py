@@ -24,7 +24,8 @@ from cnfaug import (
     unit_propagate,
     variable_eliminate,
 )
-from conftest import formula_of, random_formula
+from cnfaug.lpa import _pure_variables
+from conftest import formula_of, non_canonical, random_formula, small_formulas
 
 # The four-clause running example used by the deterministic golden tests:
 #   c1: x1   c2: x2|x3   c3: x1|-x3|x4   c4: -x1|x2|x3|-x4
@@ -122,6 +123,16 @@ class TestPureLiteralEliminate:
     def test_label_preserved(self, labeled_sample):
         brute_preserved(pure_literal_eliminate, *labeled_sample)
 
+    def test_pure_variables_match_a_polarity_scan(self, rng):
+        for _ in range(300):
+            f = random_formula(rng, max_vars=10)
+            for g in (f, non_canonical(f)):
+                polarity: dict[int, int] = {}
+                for clause in g.clauses:
+                    for lit in clause:
+                        polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
+                assert _pure_variables(g) == sorted(v for v, m in polarity.items() if m != 3)
+
 
 class TestSubsumedClauseEliminate:
     def test_golden(self):
@@ -212,6 +223,16 @@ class TestClauseResolution:
     def test_label_preserved(self, labeled_sample):
         brute_preserved(clause_resolution, *labeled_sample)
 
+    def test_short_run_is_logged(self, caplog):
+        # every resolvent is a tautology or a clause already present
+        f = formula_of(3, [1, 2], [-1, -2], [3], [3, -3])
+        with caplog.at_level(logging.INFO, logger="cnfaug.lpa"):
+            assert clause_resolution(f, 0.5, 8) == f
+            assert clause_resolution(RUNNING, 0.25, CR_SEED).num_clauses == 5
+        assert [r.getMessage() for r in caplog.records] == [
+            "clause resolution added 0 of 2 requested resolvents (attempt budget of 100 exhausted)"
+        ]
+
 
 class TestVariableEliminate:
     def test_golden_pinned_seed(self):
@@ -289,23 +310,6 @@ def reference_variable_eliminate(formula, rate, seed, *, resolvent_bound_factor=
         clauses = [c for i, c in enumerate(clauses) if i not in dropped] + resolvents
         remaining.remove(var)
     return Formula(formula.num_vars, tuple(clauses))
-
-
-def non_canonical(formula: Formula) -> Formula:
-    """Same clauses reversed with a repeated literal, plus two tautologies."""
-    clauses = tuple(tuple(reversed(c)) + c[:1] for c in formula.clauses)
-    clauses += tuple((c[0], -c[0]) + c for c in formula.clauses[:2] if c)
-    return Formula(formula.num_vars, clauses)
-
-
-@st.composite
-def small_formulas(draw):
-    """Up to 7 variables; clauses may be unsorted, repeat literals, be
-    tautologies, repeat each other or be empty."""
-    num_vars = draw(st.integers(1, 7))
-    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
-    clauses = draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=3 * num_vars))
-    return Formula(num_vars, tuple(clauses))
 
 
 class _StopRecords(logging.Handler):

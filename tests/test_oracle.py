@@ -1,19 +1,108 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from cnfaug import (
     Formula,
     Label,
     OracleBudgetError,
+    SolveResult,
     SolverConfig,
+    apply_chain,
     count_models,
+    gen_sr,
+    parse_chain,
     resolve,
     satisfies,
     solve_brute,
     solve_dpll,
 )
-from conftest import formula_of, random_formula
+from conftest import formula_of, non_canonical, random_formula, small_formulas
+
+
+def _reference_simplify(clauses, lit):
+    out = []
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if -lit in clause:
+            reduced = tuple(x for x in clause if x != -lit)
+            if not reduced:
+                return None
+            out.append(reduced)
+        else:
+            out.append(clause)
+    return out
+
+
+class _ReferenceSearch:
+    def __init__(self, config):
+        self.config = config
+        self.decisions = 0
+        self.propagations = 0
+
+    def run(self, clauses, assignment):
+        while True:
+            if any(len(c) == 0 for c in clauses):
+                return None
+            if not clauses:
+                return assignment
+
+            unit = next((c[0] for c in clauses if len(c) == 1), None)
+            if unit is not None:
+                self.propagations += 1
+                assignment[abs(unit)] = unit > 0
+                reduced = _reference_simplify(clauses, unit)
+                if reduced is None:
+                    return None
+                clauses = reduced
+                continue
+
+            polarity = {}  # var -> bitmask of seen polarities
+            for clause in clauses:
+                for lit in clause:
+                    polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
+            pure = min((v for v, mask in polarity.items() if mask != 3), default=None)
+            if pure is not None:
+                self.propagations += 1
+                lit = pure if polarity[pure] == 1 else -pure
+                assignment[abs(lit)] = lit > 0
+                clauses = [c for c in clauses if lit not in c]
+                continue
+
+            var = min(polarity)
+            for lit in (var, -var):
+                self.decisions += 1
+                if self.decisions > self.config.max_decisions:
+                    raise OracleBudgetError(
+                        f"decision budget of {self.config.max_decisions} exhausted"
+                    )
+                reduced = _reference_simplify(clauses, lit)
+                if reduced is None:
+                    continue
+                branch = dict(assignment)
+                branch[var] = lit > 0
+                result = self.run(reduced, branch)
+                if result is not None:
+                    return result
+            return None
+
+
+def reference_solve_dpll(formula, config=SolverConfig()):
+    """The DPLL engine on literal tuples that the bitmask search replaced:
+    the same unit / pure / branch order, kept to check that every
+    ``SolveResult`` (label, model, decisions, propagations) is unchanged."""
+    if formula.num_vars > config.max_vars:
+        raise ValueError(
+            f"{formula.num_vars} variables exceeds the configured limit {config.max_vars}"
+        )
+    search = _ReferenceSearch(config)
+    found = search.run([tuple(c) for c in formula.clauses], {})
+    if found is None:
+        return SolveResult(Label.UNSAT, None, search.decisions, search.propagations)
+    assignment = {v: found.get(v, True) for v in range(1, formula.num_vars + 1)}
+    return SolveResult(Label.SAT, assignment, search.decisions, search.propagations)
 
 
 def slow_label(f: Formula) -> Label:
@@ -65,7 +154,7 @@ def test_brute_limit():
 
 
 def test_var_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="5 variables exceeds the configured limit 4"):
         solve_dpll(Formula(5, ()), SolverConfig(max_vars=4))
 
 
@@ -134,3 +223,66 @@ def test_propagation_only_formulas_report_zero_decisions():
     assert res.label is Label.SAT
     assert res.decisions == 0
     assert res.propagations > 0
+
+
+LPA_VIEW = "AU:0.2:{0},CR:0.3:{0},SC"
+LAA_VIEW = "SG:0.3:{0},LP:0.2:{0}"
+
+
+def assert_same_result(formulas, config=SolverConfig()):
+    for idx, f in enumerate(formulas):
+        assert solve_dpll(f, config) == reference_solve_dpll(f, config), idx
+
+
+class TestMaskEngineMatchesReference:
+    """The bitmask search keeps every decision and propagation of the tuple
+    search on clauses without repeated literals."""
+
+    def test_random_formulas(self, rng):
+        assert_same_result([random_formula(rng, max_vars=12 if i % 4 else 6) for i in range(3000)])
+
+    @pytest.mark.parametrize("family", ["SR", "UR", "PR"])
+    def test_corpora_and_chain_views(self, family_corpora, family):
+        formulas, _ = family_corpora[family]
+        assert_same_result(formulas)
+        for chain in (LPA_VIEW, LAA_VIEW):
+            assert_same_result(
+                [apply_chain(f, parse_chain(chain.format(i))) for i, f in enumerate(formulas)]
+            )
+
+    def test_sr40(self):
+        assert_same_result(
+            [inst.formula for seed in range(4) for inst in gen_sr(40, seed)]
+        )
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 10])
+    def test_budget_runs_out_at_the_same_decision(self, rng, sr_corpus, budget):
+        config = SolverConfig(max_decisions=budget)
+        formulas = [random_formula(rng, max_vars=12) for _ in range(300)]
+        for f in formulas + [inst.formula for inst in sr_corpus[:200]]:
+            try:
+                expected = reference_solve_dpll(f, config)
+            except OracleBudgetError:
+                with pytest.raises(OracleBudgetError):
+                    solve_dpll(f, config)
+            else:
+                assert solve_dpll(f, config) == expected
+
+    def test_repeated_literals_keep_the_label(self, rng):
+        # a repeated literal may change the counts, never the label
+        for _ in range(1000):
+            f = non_canonical(random_formula(rng, max_vars=10))
+            res = solve_dpll(f)
+            assert res.label is solve_brute(f)
+            if res.label is Label.SAT:
+                assert satisfies(f, res.assignment)
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_formulas())
+def test_label_matches_brute_force(formula):
+    res = solve_dpll(formula)
+    assert res.label is solve_brute(formula)
+    if res.label is Label.SAT:
+        assert len(res.assignment) == formula.num_vars
+        assert satisfies(formula, res.assignment)
