@@ -139,7 +139,7 @@ def cmd_augment(args) -> int:
             try:
                 before = solve_dpll(formula)
                 after = solve_dpll(augmented)
-            except OracleBudgetError as exc:
+            except (ValueError, OracleBudgetError) as exc:
                 record.update(status="error", error=str(exc), elapsed_ms=_elapsed(started))
                 return record
             record.update(
@@ -317,14 +317,12 @@ def cmd_pair(args) -> int:
     except ChainParseError as exc:
         raise _UsageError(str(exc)) from exc
     path = Path(args.input)
+    try:
+        view1, view2 = make_pair(parse_dimacs(path.read_text(encoding="utf-8")), chain1, chain2)
+    except (DimacsError, ValueError) as exc:
+        raise _DataError(f"{path}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        formula = parse_dimacs(path.read_text(encoding="utf-8"))
-    except DimacsError as exc:
-        print(f"cannot parse {path}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    view1, view2 = make_pair(formula, chain1, chain2)
     names = (f"{path.stem}.view1.cnf", f"{path.stem}.view2.cnf")
     (out / names[0]).write_text(serialize_dimacs(view1), encoding="utf-8")
     (out / names[1]).write_text(serialize_dimacs(view2), encoding="utf-8")

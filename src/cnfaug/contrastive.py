@@ -16,10 +16,12 @@ projection heads live elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .chains import Chain, apply_chain, is_label_preserving
+from .chains import Chain, apply_chain
 from .formula import Formula
 
 
@@ -71,10 +73,6 @@ def make_pair(formula: Formula, chain1: Chain, chain2: Chain) -> tuple[Formula, 
     return apply_chain(formula, chain1), apply_chain(formula, chain2)
 
 
-def pair_is_label_guaranteed(chain1: Chain, chain2: Chain) -> bool:
-    return is_label_preserving(chain1) and is_label_preserving(chain2)
-
-
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity ``a.b / (|a||b|)``; undefined (raises) on zero norm."""
     a = np.asarray(a, dtype=float).ravel()
@@ -105,10 +103,10 @@ def nt_xent(
     logits = (unit @ unit.T) / config.temperature
 
     size = x.shape[0]
-    total = 0.0
-    for i in range(size):
-        row = np.delete(logits[i], i)
-        peak = row.max()
-        log_denominator = peak + np.log(np.exp(row - peak).sum())
-        total += log_denominator - logits[i, batch.partner(i)]
-    return float(total / size)
+    rows = np.arange(size)
+    others = logits[~np.eye(size, dtype=bool)].reshape(size, size - 1)
+    peak = others.max(axis=1)
+    log_denominator = peak + np.log(np.exp(others - peak[:, None]).sum(axis=1))
+    losses = log_denominator - logits[rows, rows ^ 1]
+    # summed left to right; sum() compensates its float additions from Python 3.12
+    return float(reduce(add, losses.tolist(), 0.0) / size)

@@ -95,10 +95,6 @@ def polarities(masks: Iterable[int], even: int) -> tuple[int, int]:
     return union & even, (union >> 1) & even
 
 
-def is_canonical(clause: Clause) -> bool:
-    return tuple(clause) == make_clause(clause)
-
-
 def is_tautology(clause: Clause) -> bool:
     """True if the clause contains some variable in both polarities."""
     seen = set(clause)

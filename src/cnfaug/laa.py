@@ -13,7 +13,7 @@ import math
 
 from .formula import Clause, Formula, literal_key, make_clause
 from .graph import adjacency, build_lig
-from .lpa import seeded_rng
+from .lpa import _ceil_count, seeded_rng
 
 
 def _floor_count(rate: float, base: int) -> int:
@@ -104,7 +104,7 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     graph = build_lig(formula, plus=True)
     if graph.num_nodes == 0:
         raise ValueError("cannot take a subgraph of an empty formula")
-    steps = max(0, math.ceil(rate * graph.num_nodes - 1e-9))
+    steps = _ceil_count(rate, graph.num_nodes)
     rng = seeded_rng(seed)
     nbrs = adjacency(graph)
     current = int(rng.integers(graph.num_nodes))

@@ -8,9 +8,10 @@ clause additions, variable count for elimination).  All randomness flows
 through a ``numpy`` PCG64 generator seeded per call, so outputs are a pure
 function of (formula, rate, seed).
 
-Variable elimination, subsumption and the pure-variable scan work on one
-integer bitmask per clause, in the literal-bit convention of
-:mod:`cnfaug.formula` (``+v`` is bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``).
+Variable elimination, clause resolution, subsumption and the pure-variable
+scan work on one integer bitmask per clause, in the literal-bit convention
+of :mod:`cnfaug.formula` (``+v`` is bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``);
+VE and CR find complementary occurrences through one per-literal index.
 """
 
 from __future__ import annotations
@@ -200,13 +201,15 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause | None:
     return make_clause(merged)
 
 
-def _occurrences(clauses: tuple[Clause, ...]) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    pos: dict[int, list[int]] = {}
-    neg: dict[int, list[int]] = {}
-    for i, clause in enumerate(clauses):
-        for lit in clause:
-            (pos if lit > 0 else neg).setdefault(abs(lit), []).append(i)
-    return pos, neg
+def _occurrence_lists(masks: list[int], num_vars: int) -> list[list[int]]:
+    """The ascending indices of the masks holding each literal, at its bit."""
+    occurrences: list[list[int]] = [[] for _ in range(2 * num_vars)]
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            occurrences[low.bit_length() - 1].append(i)
+            mask ^= low
+    return occurrences
 
 
 def clause_resolution(
@@ -224,29 +227,35 @@ def clause_resolution(
     When the budget runs out first, fewer resolvents are appended and an
     INFO record gives the count added, the count requested and the budget.
     Identity when no complementary pair exists.
+
+    Clauses are read as literal sets (a repeated literal is one occurrence)
+    and resolved on their bitmasks, as in :func:`variable_eliminate`.
     """
     target = _ceil_count(rate, formula.num_clauses)
     if target == 0:
         return formula
-    pos, neg = _occurrences(formula.clauses)
-    pivots = sorted(v for v in pos if v in neg)
+    masks = [clause_mask(c) for c in formula.clauses]
+    occurrences = _occurrence_lists(masks, formula.num_vars)
+    pairs = zip(occurrences[0::2], occurrences[1::2])
+    pivots = [(1 << 2 * i, pos, neg) for i, (pos, neg) in enumerate(pairs) if pos and neg]
     if not pivots:
         return formula
-    weights = np.array([len(pos[v]) * len(neg[v]) for v in pivots], dtype=float)
+    weights = np.array([len(pos) * len(neg) for _, pos, neg in pivots], dtype=float)
     weights /= weights.sum()
 
     rng = seeded_rng(seed)
-    existing = {make_clause(c) for c in formula.clauses}
-    added: list[Clause] = []
+    even = positive_bits(formula.num_vars)
+    existing = set(masks)
+    added: list[int] = []
     budget = max_attempts_per_resolvent * target
     attempts = 0
     while len(added) < target and attempts < budget:
         attempts += 1
-        v = pivots[int(rng.choice(len(pivots), p=weights))]
-        ci = pos[v][int(rng.integers(len(pos[v])))]
-        cj = neg[v][int(rng.integers(len(neg[v])))]
-        resolvent = resolve(formula.clauses[ci], formula.clauses[cj], v)
-        if resolvent is None or resolvent in existing:
+        pbit, pos, neg = pivots[int(rng.choice(len(pivots), p=weights))]
+        ci = pos[int(rng.integers(len(pos)))]
+        cj = neg[int(rng.integers(len(neg)))]
+        resolvent = (masks[ci] ^ pbit) | (masks[cj] ^ (pbit << 1))
+        if resolvent & (resolvent >> 1) & even or resolvent in existing:
             continue
         existing.add(resolvent)
         added.append(resolvent)
@@ -258,7 +267,7 @@ def clause_resolution(
             target,
             budget,
         )
-    return Formula(formula.num_vars, formula.clauses + tuple(added))
+    return Formula(formula.num_vars, formula.clauses + tuple(map(clause_of_mask, added)))
 
 
 def _elimination_plan(
@@ -327,12 +336,7 @@ def variable_eliminate(
     rng = seeded_rng(seed)
     eliminated = 0
     for _ in range(requested):
-        occurrences: list[list[int]] = [[] for _ in range(2 * formula.num_vars)]
-        for i, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                occurrences[low.bit_length() - 1].append(i)
-                mask ^= low
+        occurrences = _occurrence_lists(masks, formula.num_vars)
         plans = {}
         for v in sorted(remaining):
             pos, neg = occurrences[2 * v - 2], occurrences[2 * v - 1]

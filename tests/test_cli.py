@@ -150,6 +150,23 @@ def test_augment_records_parse_failures(tmp_path):
     assert statuses == {"ok.cnf": "ok", "broken.cnf": "error"}
 
 
+def test_augment_verify_records_oracle_limit(tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "ok.cnf").write_text("p cnf 2 1\n1 -2 0\n")
+    (src / "wide.cnf").write_text("p cnf 201 1\n1 -201 0\n")
+    out = tmp_path / "out"
+    code = main(["augment", "--input", str(src / "*.cnf"), "--chain", "SC",
+                 "--out", str(out), "--verify"])
+    assert code == EXIT_DATA
+    records = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    by_name = {Path(r["input"]).name: r for r in records[1:]}
+    assert by_name["ok.cnf"]["status"] == "ok"
+    assert by_name["wide.cnf"]["status"] == "error"
+    assert "201 variables" in by_name["wide.cnf"]["error"]
+    assert sorted(p.name for p in out.glob("*.cnf")) == ["ok.cnf"]
+
+
 def test_augment_bad_chain_is_usage_error(tmp_path):
     assert main(["augment", "--input", "x", "--chain", "ZZ:1", "--out", str(tmp_path)]) == EXIT_USAGE
 
@@ -288,6 +305,21 @@ def test_pair_command(tmp_path):
                  "--chain2", "CR:0.2:11,SC", "--out", str(out)])
     assert code == EXIT_OK
     assert len(sorted(out.glob("*.cnf"))) == 2
+
+
+@pytest.mark.parametrize(
+    "text, chain, message",
+    [("p cnf 0 0\n", "SG:0.5:1", "empty formula"), ("p cnf 2 1\n1 -2\n", "SC", "terminating 0")],
+)
+def test_pair_data_errors_write_nothing(tmp_path, capsys, text, chain, message):
+    one = tmp_path / "one.cnf"
+    one.write_text(text)
+    out = tmp_path / "views"
+    code = main(["pair", "--input", str(one), "--chain1", chain, "--chain2", "SC", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {one}:") and message in err
 
 
 def test_io_error_exit_code(tmp_path):

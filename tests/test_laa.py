@@ -106,6 +106,10 @@ class TestSubgraph:
         with pytest.raises(ValueError):
             subgraph(Formula(0, ()), 0.3, 1)
 
+    def test_rate_above_one_rejected(self):
+        with pytest.raises(ValueError, match="rate must lie in"):
+            subgraph(formula_of(2, [1, 2]), 1.5, 1)
+
     def test_long_walk_returns_whole_formula(self):
         f = formula_of(1, [1])
         # 3-node connected graph; a long walk visits everything

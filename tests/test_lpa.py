@@ -234,6 +234,70 @@ class TestClauseResolution:
         ]
 
 
+def reference_clause_resolution(formula, rate, seed, *, max_attempts_per_resolvent=50):
+    """The tuple CR that the bitmask engine replaced: occurrences from a dict
+    scan and one ``resolve`` set merge per attempt, kept as the reference it
+    must match clause for clause on canonical inputs."""
+    target = math.ceil(rate * formula.num_clauses - 1e-9)
+    if target == 0:
+        return formula
+    pos, neg = {}, {}
+    for i, clause in enumerate(formula.clauses):
+        for lit in clause:
+            (pos if lit > 0 else neg).setdefault(abs(lit), []).append(i)
+    pivots = sorted(v for v in pos if v in neg)
+    if not pivots:
+        return formula
+    weights = np.array([len(pos[v]) * len(neg[v]) for v in pivots], dtype=float)
+    weights /= weights.sum()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    existing = {make_clause(c) for c in formula.clauses}
+    added = []
+    attempts = 0
+    while len(added) < target and attempts < max_attempts_per_resolvent * target:
+        attempts += 1
+        v = pivots[int(rng.choice(len(pivots), p=weights))]
+        ci = pos[v][int(rng.integers(len(pos[v])))]
+        cj = neg[v][int(rng.integers(len(neg[v])))]
+        resolvent = resolve(formula.clauses[ci], formula.clauses[cj], v)
+        if resolvent is None or resolvent in existing:
+            continue
+        existing.add(resolvent)
+        added.append(resolvent)
+    return Formula(formula.num_vars, formula.clauses + tuple(added))
+
+
+class TestClauseResolutionEngine:
+    RATES = (0.1, 0.2, 0.5, 1.0)
+
+    @pytest.mark.parametrize("attempts", [50, 1])
+    def test_matches_reference_on_random_formulas(self, rng, attempts):
+        for idx in range(200):
+            f = random_formula(rng, max_vars=10)
+            for rate in self.RATES:
+                expected = reference_clause_resolution(f, rate, idx, max_attempts_per_resolvent=attempts)
+                assert clause_resolution(f, rate, idx, max_attempts_per_resolvent=attempts) == expected
+
+    def test_matches_reference_on_corpora(self, sr_corpus, ur_corpus, pr_corpus):
+        sr40 = [inst.formula for seed in range(4) for inst in gen_corpus(GenSpec(GenFamily.SR, 40), 1, seed)]
+        corpora = [inst.formula for corpus in (sr_corpus, ur_corpus, pr_corpus) for inst in corpus[:60]]
+        for idx, f in enumerate(corpora + sr40):
+            for rate in self.RATES:
+                assert clause_resolution(f, rate, idx) == reference_clause_resolution(f, rate, idx)
+
+    def test_non_canonical_inputs_keep_label_and_model_count(self, rng):
+        # a repeated literal is one occurrence here, so pivot weights (and the
+        # draws) may differ from the tuple reference; the semantics may not
+        for idx in range(150):
+            f = non_canonical(random_formula(rng, max_vars=10))
+            label, models = solve_brute(f), count_models(f)
+            for rate in self.RATES:
+                out = clause_resolution(f, rate, idx)
+                assert out.clauses[: f.num_clauses] == f.clauses
+                assert solve_brute(out) is label
+                assert count_models(out) == models
+
+
 class TestVariableEliminate:
     def test_golden_pinned_seed(self):
         out = variable_eliminate(RUNNING, 0.25, VE_SEED)
