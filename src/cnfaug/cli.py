@@ -59,15 +59,25 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
     return sorted(paths)
 
 
-def _output_names(inputs: list[Path], output_name) -> dict[Path, str]:
-    """Each input's output file name; two inputs that would write one file
-    are a usage error naming both, raised before anything is written."""
+def _refuse_existing(out: Path, names) -> None:
+    """A file the run would write that already exists in ``out`` is a usage
+    error, raised before anything is written; the manifest is appended to."""
+    used = next((name for name in names if (out / name).exists()), None)
+    if used is not None:
+        raise _UsageError(f"{out / used} already exists")
+
+
+def _output_names(inputs: list[Path], output_name, out: Path) -> dict[Path, str]:
+    """Each input's output file name in ``out``; two inputs that would write
+    one file, or a file that already exists, are a usage error raised before
+    anything is written."""
     owners: dict[str, Path] = {}
     for path in inputs:
         name = output_name(path)
         if name in owners:
             raise _UsageError(f"inputs {owners[name]} and {path} both map to output {name}")
         owners[name] = path
+    _refuse_existing(out, owners)
     return {path: name for name, path in owners.items()}
 
 
@@ -95,7 +105,6 @@ def cmd_gen(args) -> int:
             num_clauses=args.clauses,
             clause_len=args.k,
             power_exponent=args.exp,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -120,8 +129,8 @@ def cmd_augment(args) -> int:
     except ChainParseError as exc:
         raise _UsageError(str(exc)) from exc
     inputs = _expand_inputs(args.input)
-    names = _output_names(inputs, lambda path: path.name)
     out = Path(args.out)
+    names = _output_names(inputs, lambda path: path.name, out)
     out.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path) -> dict:
@@ -282,15 +291,15 @@ def cmd_stats(args) -> int:
 
 def cmd_export(args) -> int:
     inputs = _expand_inputs(args.input)
-    names = _output_names(inputs, lambda path: path.stem + ".json")
     out = Path(args.out)
+    names = _output_names(inputs, lambda path: path.stem + ".json", out)
     out.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path) -> dict:
         record: dict = {"input": str(path), "output": None, "plus": not args.no_plus}
         try:
             formula = parse_dimacs(path.read_text(encoding="utf-8"))
-        except DimacsError as exc:
+        except (DimacsError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
             record.update(status="error", error=str(exc))
             return record
         name = names[path]
@@ -317,13 +326,14 @@ def cmd_pair(args) -> int:
     except ChainParseError as exc:
         raise _UsageError(str(exc)) from exc
     path = Path(args.input)
+    out = Path(args.out)
+    names = (f"{path.stem}.view1.cnf", f"{path.stem}.view2.cnf")
+    _refuse_existing(out, names)
     try:
         view1, view2 = make_pair(parse_dimacs(path.read_text(encoding="utf-8")), chain1, chain2)
     except (DimacsError, ValueError) as exc:
         raise _DataError(f"{path}: {exc}") from exc
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = (f"{path.stem}.view1.cnf", f"{path.stem}.view2.cnf")
     (out / names[0]).write_text(serialize_dimacs(view1), encoding="utf-8")
     (out / names[1]).write_text(serialize_dimacs(view2), encoding="utf-8")
     records = [

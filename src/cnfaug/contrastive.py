@@ -56,14 +56,6 @@ class EmbeddingBatch:
             raise ValueError("embeddings must be finite")
         object.__setattr__(self, "vectors", arr)
 
-    @property
-    def num_pairs(self) -> int:
-        return self.vectors.shape[0] // 2
-
-    @staticmethod
-    def partner(index: int) -> int:
-        return index ^ 1
-
 
 def make_pair(formula: Formula, chain1: Chain, chain2: Chain) -> tuple[Formula, Formula]:
     """Two augmented views of one formula.

@@ -29,7 +29,7 @@ import numpy as np
 
 from .formula import Formula, Label, make_clause, parse_dimacs, serialize_dimacs
 from .lpa import seeded_rng
-from .oracle import DEFAULT_CONFIG, SolverConfig, solve_dpll
+from .oracle import solve_dpll
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -37,23 +37,17 @@ MANIFEST_NAME = "manifest.jsonl"
 PR10 = dict(num_vars=10, num_clauses=41, clause_len=3, power_exponent=1.7)
 PR40 = dict(num_vars=40, num_clauses=147, clause_len=3, power_exponent=2.5)
 
+# SR clause widths follow 1 + Bernoulli(SR_BERNOULLI_P) + Geometric(SR_GEOMETRIC_P).
+# The geometric draw counts trials (support starting at 1), so clauses have
+# at least two literals and SR instances contain no unit clauses.
+SR_BERNOULLI_P = 0.3
+SR_GEOMETRIC_P = 0.4
+
 
 class GenFamily(Enum):
     SR = "SR"
     UR = "UR"
     PR = "PR"
-
-
-@dataclass(frozen=True)
-class SrParams:
-    """Clause-length law for SR: ``1 + Bernoulli(b) + Geometric(g)``.
-
-    The geometric draw counts trials (support starting at 1), so clauses
-    have at least two literals and instances contain no unit clauses.
-    """
-
-    bernoulli_p: float = 0.3
-    geometric_p: float = 0.4
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,6 @@ class GenSpec:
     num_clauses: int | None = None
     clause_len: int | None = None
     power_exponent: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         lo = self.num_vars[0] if isinstance(self.num_vars, tuple) else self.num_vars
@@ -101,13 +94,7 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-def gen_sr(
-    num_vars: int | tuple[int, int],
-    seed: int,
-    *,
-    params: SrParams = SrParams(),
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> tuple[LabeledInstance, LabeledInstance]:
+def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance, LabeledInstance]:
     """One balanced pair ``(sat, unsat)`` differing in one literal.
 
     Clauses are sampled and appended until the formula first becomes
@@ -131,7 +118,7 @@ def gen_sr(
     clauses: list[tuple[int, ...]] = []
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
     while True:
-        width = 1 + int(rng.binomial(1, params.bernoulli_p)) + int(rng.geometric(params.geometric_p))
+        width = 1 + int(rng.binomial(1, SR_BERNOULLI_P)) + int(rng.geometric(SR_GEOMETRIC_P))
         width = min(width, n)
         variables = rng.choice(n, size=width, replace=False) + 1
         flips = rng.integers(2, size=width)
@@ -139,7 +126,7 @@ def gen_sr(
         clauses.append(clause)
         if model is not None and any(model[abs(lit)] == (lit > 0) for lit in clause):
             continue  # the model satisfies the whole prefix, so it is still SAT
-        result = solve_dpll(Formula(n, tuple(clauses)), config)
+        result = solve_dpll(Formula(n, tuple(clauses)))
         if result.label is Label.UNSAT:
             break
         model = result.assignment
@@ -152,7 +139,7 @@ def gen_sr(
     )
     sat_formula = Formula(n, tuple(clauses[:-1]) + (flipped,))
 
-    if solve_dpll(sat_formula, config).label is not Label.SAT:
+    if solve_dpll(sat_formula).label is not Label.SAT:
         raise RuntimeError("SR invariant violated: flipped twin is not satisfiable")
     meta = {"family": GenFamily.SR.value, "seed": seed, "num_vars": n}
     return (
@@ -161,14 +148,7 @@ def gen_sr(
     )
 
 
-def gen_ur(
-    num_vars: int,
-    num_clauses: int,
-    clause_len: int,
-    seed: int,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> LabeledInstance:
+def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
     """Uniform random k-SAT instance with an oracle-assigned label."""
     if not 1 <= clause_len <= num_vars:
         raise ValueError("clause_len must lie in [1, num_vars]")
@@ -179,7 +159,7 @@ def gen_ur(
         flips = rng.integers(2, size=clause_len)
         clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(variables, flips)))
     formula = Formula(num_vars, tuple(clauses))
-    label = solve_dpll(formula, config).label
+    label = solve_dpll(formula).label
     meta = {
         "family": GenFamily.UR.value,
         "seed": seed,
@@ -201,8 +181,6 @@ def gen_pr(
     clause_len: int,
     power_exponent: float,
     seed: int,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> LabeledInstance:
     """Power-law random k-SAT: variable frequency follows ``i**-exponent``.
 
@@ -224,7 +202,7 @@ def gen_pr(
         flips = rng.integers(2, size=clause_len)
         clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(chosen, flips)))
     formula = Formula(num_vars, tuple(clauses))
-    label = solve_dpll(formula, config).label
+    label = solve_dpll(formula).label
     meta = {
         "family": GenFamily.PR.value,
         "seed": seed,
@@ -236,13 +214,7 @@ def gen_pr(
     return LabeledInstance(formula, label, meta)
 
 
-def gen_corpus(
-    spec: GenSpec,
-    count: int,
-    seed: int | None = None,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> list[LabeledInstance]:
+def gen_corpus(spec: GenSpec, count: int, seed: int) -> list[LabeledInstance]:
     """Deterministic stream of ``count`` draws from a generator spec.
 
     Instance ``i`` uses ``derive_seed(seed, i)``.  For SR each draw yields a
@@ -251,17 +223,13 @@ def gen_corpus(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    base_seed = spec.seed if seed is None else seed
     out: list[LabeledInstance] = []
     for i in range(count):
-        inst_seed = derive_seed(base_seed, i)
+        inst_seed = derive_seed(seed, i)
         if spec.family is GenFamily.SR:
-            sat_inst, unsat_inst = gen_sr(spec.num_vars, inst_seed, config=config)
-            out.extend((sat_inst, unsat_inst))
+            out.extend(gen_sr(spec.num_vars, inst_seed))
         elif spec.family is GenFamily.UR:
-            out.append(
-                gen_ur(spec.num_vars, spec.num_clauses, spec.clause_len, inst_seed, config=config)
-            )
+            out.append(gen_ur(spec.num_vars, spec.num_clauses, spec.clause_len, inst_seed))
         else:
             out.append(
                 gen_pr(
@@ -270,7 +238,6 @@ def gen_corpus(
                     spec.clause_len,
                     spec.power_exponent,
                     inst_seed,
-                    config=config,
                 )
             )
     for i, inst in enumerate(out):

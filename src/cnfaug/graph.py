@@ -106,21 +106,6 @@ def to_formula(graph: LigGraph) -> Formula:
     return Formula(graph.num_vars, tuple(make_clause(b) for b in buckets))
 
 
-def adjacency(graph: LigGraph) -> dict[int, list[int]]:
-    """Neighbor lists over the unified node indexing (literal nodes first,
-    then clause nodes offset by ``num_literal_nodes``), sorted for
-    deterministic traversal."""
-    offset = graph.num_literal_nodes
-    nbrs: dict[int, set[int]] = {i: set() for i in range(graph.num_nodes)}
-    for lit_idx, clause_idx in graph.cl_edges:
-        nbrs[lit_idx].add(offset + clause_idx)
-        nbrs[offset + clause_idx].add(lit_idx)
-    for a, b in graph.var_edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return {i: sorted(s) for i, s in nbrs.items()}
-
-
 def graph_to_json(
     graph: LigGraph, *, source: str | None = None, chain: str | None = None
 ) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .formula import Clause, Formula, literal_key, make_clause
-from .graph import adjacency, build_lig
+from .graph import build_lig
 from .lpa import _ceil_count, seeded_rng
 
 
@@ -106,7 +106,14 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
         raise ValueError("cannot take a subgraph of an empty formula")
     steps = _ceil_count(rate, graph.num_nodes)
     rng = seeded_rng(seed)
-    nbrs = adjacency(graph)
+    offset = graph.num_literal_nodes
+    # ascending neighbour lists: a literal's complement comes before its
+    # clause nodes, and sorted edges append clause and literal nodes in order
+    nbrs: list[list[int]] = [[i ^ 1] for i in range(offset)]
+    nbrs += [[] for _ in range(graph.num_clauses)]
+    for lit_idx, clause_idx in sorted(graph.cl_edges):
+        nbrs[lit_idx].append(offset + clause_idx)
+        nbrs[offset + clause_idx].append(lit_idx)
     current = int(rng.integers(graph.num_nodes))
     visited = {current}
     for _ in range(steps):
@@ -116,7 +123,6 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
         current = options[int(rng.integers(len(options)))]
         visited.add(current)
 
-    offset = graph.num_literal_nodes
     kept: list[Clause] = []
     for ci, clause in enumerate(formula.clauses):
         if offset + ci not in visited:

@@ -87,7 +87,7 @@ def test_gen_dpll_variable_limit_is_data_error(tmp_path, capsys):
 def test_gen_oracle_budget_is_data_error(tmp_path, capsys, monkeypatch):
     from cnfaug import OracleBudgetError, gen
 
-    def exhausted(formula, config):
+    def exhausted(formula):
         raise OracleBudgetError("decision budget of 0 exhausted")
 
     monkeypatch.setattr(gen, "solve_dpll", exhausted)
@@ -285,6 +285,45 @@ def test_export_and_reimport(tmp_path):
         doc = graph_from_json(gpath.read_text())
         direct = build_lig(parse_dimacs((src / (gpath.stem + ".cnf")).read_text()))
         assert doc == direct
+
+
+def test_export_records_a_non_utf8_input(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "ok.cnf").write_text("p cnf 2 1\n1 -2 0\n")
+    (src / "bad.cnf").write_bytes(b"p cnf 2 1\n1 \xff 0\n")
+    out = tmp_path / "graphs"
+    assert main(["export", "--input", str(src / "*.cnf"), "--out", str(out)]) == EXIT_DATA
+    records = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    statuses = {Path(r["input"]).name: r["status"] for r in records[1:]}
+    assert statuses == {"ok.cnf": "ok", "bad.cnf": "error"}
+    assert sorted(p.name for p in out.glob("*.json")) == ["ok.json"]
+
+
+@pytest.mark.parametrize("command", ["augment", "export", "pair"])
+def test_rerun_into_one_out_refuses_to_overwrite(tmp_path, capsys, command):
+    src = tmp_path / "src"
+    assert run_gen(src) == EXIT_OK
+    first, second = sorted(src.glob("*.cnf"))[:2]
+    out = tmp_path / "out"
+    flags = {"augment": ["--chain", "SC"], "export": [],
+             "pair": ["--chain1", "SC", "--chain2", "CR:1:1"]}[command]
+
+    def run(path: Path) -> int:
+        return main([command, "--input", str(path), *flags, "--out", str(out)])
+
+    assert run(first) == EXIT_OK
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert run(first) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}") and "already exists" in err
+    assert tree_digest(out) == before
+    assert run(second) == EXIT_OK  # all names new: written, and the manifest gains a run
+    lines = (out / "manifest.jsonl").read_text().splitlines()
+    assert [json.loads(l)["type"] for l in lines].count("run") == 2
+    after = tree_digest(out)
+    assert [name for name in before if after[name] != before[name]] == ["manifest.jsonl"]
 
 
 def test_export_no_plus(tmp_path, capsys):

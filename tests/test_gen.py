@@ -10,7 +10,6 @@ from cnfaug import (
     GenSpec,
     Label,
     LabeledInstance,
-    SrParams,
     derive_seed,
     gen_corpus,
     gen_pr,
@@ -23,10 +22,11 @@ from cnfaug import (
     solve_dpll,
     write_corpus,
 )
+from cnfaug.gen import SR_BERNOULLI_P, SR_GEOMETRIC_P
 from conftest import PR10, UR12
 
 
-def reference_gen_sr(num_vars, seed, *, params=SrParams()):
+def reference_gen_sr(num_vars, seed):
     """The SR loop that solved the whole prefix after every appended clause,
     kept as the reference the model-reusing loop must match pair for pair."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -36,7 +36,7 @@ def reference_gen_sr(num_vars, seed, *, params=SrParams()):
         n = num_vars
     clauses = []
     while True:
-        width = 1 + int(rng.binomial(1, params.bernoulli_p)) + int(rng.geometric(params.geometric_p))
+        width = 1 + int(rng.binomial(1, SR_BERNOULLI_P)) + int(rng.geometric(SR_GEOMETRIC_P))
         width = min(width, n)
         variables = rng.choice(n, size=width, replace=False) + 1
         flips = rng.integers(2, size=width)

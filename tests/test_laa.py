@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from cnfaug import (
@@ -6,12 +9,49 @@ from cnfaug import (
     build_lig,
     drop_clauses,
     drop_variables,
+    make_clause,
     perturb_links,
     solve_brute,
     subgraph,
     to_formula,
 )
-from conftest import formula_of
+from conftest import formula_of, non_canonical, random_formula
+
+
+def reference_subgraph(formula, rate, seed):
+    """The walk on neighbour sets sorted into lists over the unified node
+    numbering (the former ``graph.adjacency``), kept as the reference the
+    walk on edge-built neighbour lists must match call for call."""
+    graph = build_lig(formula, plus=True)
+    if graph.num_nodes == 0:
+        raise ValueError("cannot take a subgraph of an empty formula")
+    steps = max(0, math.ceil(rate * graph.num_nodes - 1e-9))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    offset = graph.num_literal_nodes
+    sets = {i: set() for i in range(graph.num_nodes)}
+    for lit_idx, clause_idx in graph.cl_edges:
+        sets[lit_idx].add(offset + clause_idx)
+        sets[offset + clause_idx].add(lit_idx)
+    for a, b in graph.var_edges:
+        sets[a].add(b)
+        sets[b].add(a)
+    nbrs = {i: sorted(s) for i, s in sets.items()}
+    current = int(rng.integers(graph.num_nodes))
+    visited = {current}
+    for _ in range(steps):
+        options = nbrs[current]
+        if not options:
+            break
+        current = options[int(rng.integers(len(options)))]
+        visited.add(current)
+    kept = []
+    for ci, clause in enumerate(formula.clauses):
+        if offset + ci not in visited:
+            continue
+        reduced = make_clause(lit for lit in clause if 2 * (abs(lit) - 1) + (lit < 0) in visited)
+        if reduced:
+            kept.append(reduced)
+    return Formula(formula.num_vars, tuple(kept))
 
 
 def find_flip(fn, corpus, rate=0.3, seeds=10):
@@ -133,3 +173,17 @@ class TestSubgraph:
             out = subgraph(inst.formula, 0.3, idx)
             graph = build_lig(out)
             assert to_formula(graph) == out
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.6, 1.0])
+class TestSubgraphMatchesReference:
+    def test_random_and_non_canonical_formulas(self, rng, rate):
+        for i in range(300):
+            f = random_formula(rng)
+            for g in (f, non_canonical(f)):
+                assert subgraph(g, rate, i) == reference_subgraph(g, rate, i)
+
+    def test_corpora(self, sr_corpus, ur_corpus, pr_corpus, rate):
+        for corpus in (sr_corpus, ur_corpus, pr_corpus):
+            for i, inst in enumerate(corpus[:200]):
+                assert subgraph(inst.formula, rate, i) == reference_subgraph(inst.formula, rate, i)

@@ -180,6 +180,18 @@ def test_count_models_matches_enumeration(rng):
         assert count_models(f) == expected
 
 
+def test_enumeration_in_blocks_above_18_variables(rng):
+    # 19 to 24 variables are enumerated in blocks of 2**18 assignments
+    assert count_models(Formula(20, ((1, 2), (-20,), (19, -3)))) == 294912
+    unsat = formula_of(19, [1, 19], [-1, 19], [2, -19], [-2, -19])
+    assert solve_brute(unsat) is Label.UNSAT and count_models(unsat) == 0
+    for _ in range(3):
+        f = random_formula(rng, max_vars=6)
+        padded = Formula(21, f.clauses)
+        assert count_models(padded) == count_models(f) << (21 - f.num_vars)
+        assert solve_brute(padded) is solve_brute(f)
+
+
 def test_resolvent_preserves_model_count(rng):
     done = 0
     while done < 200:
