@@ -89,6 +89,14 @@ def _elapsed(started: float | None) -> float | None:
     return round((time.perf_counter() - started) * 1000, 3) if started is not None else None
 
 
+def _exit_code(failures: int, unreadable: list[Path]) -> int:
+    """Exit code of a per-file run whose manifest is written: an input that
+    could not be read is an I/O failure, any other failed file a data one."""
+    if unreadable:
+        return EXIT_IO
+    return EXIT_DATA if failures else EXIT_OK
+
+
 def cmd_gen(args) -> int:
     family = GenFamily(args.family.upper())
     try:
@@ -132,6 +140,7 @@ def cmd_augment(args) -> int:
     out = Path(args.out)
     names = _output_names(inputs, lambda path: path.name, out)
     out.mkdir(parents=True, exist_ok=True)
+    unreadable: list[Path] = []
 
     def work(path: Path) -> dict:
         started = time.perf_counter() if args.timing else None
@@ -141,6 +150,10 @@ def cmd_augment(args) -> int:
         try:
             formula = parse_dimacs(path.read_text(encoding="utf-8"))
             augmented = apply_chain(formula, chain)
+        except OSError as exc:
+            unreadable.append(path)
+            record.update(status="error", error=str(exc), elapsed_ms=_elapsed(started))
+            return record
         except (DimacsError, ValueError) as exc:
             record.update(status="error", error=str(exc), elapsed_ms=_elapsed(started))
             return record
@@ -166,7 +179,7 @@ def cmd_augment(args) -> int:
     append_manifest(out, _run_header("augment", args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"augmented {len(records) - failures}/{len(records)} files into {out}")
-    return EXIT_DATA if failures else EXIT_OK
+    return _exit_code(failures, unreadable)
 
 
 def cmd_verify(args) -> int:
@@ -294,11 +307,16 @@ def cmd_export(args) -> int:
     out = Path(args.out)
     names = _output_names(inputs, lambda path: path.stem + ".json", out)
     out.mkdir(parents=True, exist_ok=True)
+    unreadable: list[Path] = []
 
     def work(path: Path) -> dict:
         record: dict = {"input": str(path), "output": None, "plus": not args.no_plus}
         try:
             formula = parse_dimacs(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            unreadable.append(path)
+            record.update(status="error", error=str(exc))
+            return record
         except (DimacsError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
             record.update(status="error", error=str(exc))
             return record
@@ -316,7 +334,7 @@ def cmd_export(args) -> int:
     append_manifest(out, _run_header("export", args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"exported {len(records) - failures}/{len(records)} graphs into {out}")
-    return EXIT_DATA if failures else EXIT_OK
+    return _exit_code(failures, unreadable)
 
 
 def cmd_pair(args) -> int:

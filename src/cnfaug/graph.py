@@ -58,11 +58,6 @@ class LigGraph:
     cl_edges: frozenset[tuple[int, int]]
     plus: bool = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cl_edges", frozenset((int(l), int(c)) for l, c in self.cl_edges)
-        )
-
     @property
     def num_literal_nodes(self) -> int:
         return 2 * self.num_vars
@@ -80,9 +75,13 @@ class LigGraph:
 
 
 def build_lig(formula: Formula, plus: bool = True) -> LigGraph:
-    """Incidence graph of a formula; edges mirror literal occurrences."""
+    """Incidence graph of a formula; edges mirror literal occurrences.
+
+    A literal's node is computed inline; it equals :func:`literal_node` and
+    the literal's bit in :func:`~cnfaug.formula.clause_mask`.
+    """
     edges = {
-        (literal_node(lit), ci)
+        (2 * lit - 2 if lit > 0 else -2 * lit - 1, ci)
         for ci, clause in enumerate(formula.clauses)
         for lit in clause
     }
@@ -109,32 +108,69 @@ def to_formula(graph: LigGraph) -> Formula:
 def graph_to_json(
     graph: LigGraph, *, source: str | None = None, chain: str | None = None
 ) -> str:
-    """Serialize a graph to the v1 JSON document (byte-stable for a fixed
-    input: keys and edges are sorted)."""
-    doc = {
-        "schema": SCHEMA_NAME,
-        "schema_version": SCHEMA_VERSION,
-        "num_vars": graph.num_vars,
-        "num_clauses": graph.num_clauses,
-        "literal_indexing": LITERAL_INDEXING,
-        "cl_edges": sorted([l, c] for l, c in graph.cl_edges),
-        "var_edges": graph.plus,
-        "provenance": {"source": source, "chain": chain},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Serialize a graph to the v1 JSON document.
+
+    The text is the ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``
+    layout of the v1 document: keys sorted, edges sorted, two-space indent.
+    It is written directly, because ``json.dumps`` with an indent runs the
+    pure-Python encoder; every scalar still goes through ``json.dumps``, so
+    escaping and ``null``/``true``/``false`` are the encoder's own.
+    """
+    edges = ",\n    ".join(
+        f"[\n      {l},\n      {c}\n    ]" for l, c in sorted(graph.cl_edges)
+    )
+    cl_edges = f"[\n    {edges}\n  ]" if edges else "[]"
+    dumps = json.dumps
+    return (
+        f'{{\n  "cl_edges": {cl_edges},\n'
+        f'  "literal_indexing": {dumps(LITERAL_INDEXING)},\n'
+        f'  "num_clauses": {dumps(graph.num_clauses)},\n'
+        f'  "num_vars": {dumps(graph.num_vars)},\n'
+        f'  "provenance": {{\n    "chain": {dumps(chain)},\n    "source": {dumps(source)}\n  }},\n'
+        f'  "schema": {dumps(SCHEMA_NAME)},\n'
+        f'  "schema_version": {dumps(SCHEMA_VERSION)},\n'
+        f'  "var_edges": {dumps(graph.plus)}\n}}\n'
+    )
+
+
+def _count(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer")
+    return value
 
 
 def graph_from_json(text: str) -> LigGraph:
-    """Rebuild a :class:`LigGraph` from a v1 document."""
+    """Rebuild a :class:`LigGraph` from a v1 document.
+
+    Raises ``ValueError`` on any malformed document: not a JSON object, a
+    schema or version other than v1's, a count that is not a non-negative
+    integer, an edge that is not a pair of integers inside the declared node
+    ranges, or a ``var_edges`` that is not a boolean.
+    """
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA_NAME or doc.get("schema_version") != SCHEMA_VERSION:
+    if type(doc) is not dict:
+        raise ValueError("a graph document must be a JSON object")
+    version = doc.get("schema_version")
+    if doc.get("schema") != SCHEMA_NAME or type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError("not a recognized graph document")
-    return LigGraph(
-        num_vars=doc["num_vars"],
-        num_clauses=doc["num_clauses"],
-        cl_edges=frozenset((l, c) for l, c in doc["cl_edges"]),
-        plus=bool(doc["var_edges"]),
-    )
+    num_vars = _count(doc, "num_vars")
+    num_clauses = _count(doc, "num_clauses")
+    edges = doc.get("cl_edges")
+    if type(edges) is not list:
+        raise ValueError("cl_edges must be a list")
+    cl_edges = set()
+    for edge in edges:
+        if type(edge) is not list or len(edge) != 2 or any(type(i) is not int for i in edge):
+            raise ValueError(f"cl_edges entry {edge!r} is not a pair of integers")
+        lit_idx, clause_idx = edge
+        if not (0 <= lit_idx < 2 * num_vars and 0 <= clause_idx < num_clauses):
+            raise ValueError(f"cl_edges entry {edge!r} lies outside the node ranges")
+        cl_edges.add((lit_idx, clause_idx))
+    plus = doc.get("var_edges")
+    if type(plus) is not bool:
+        raise ValueError("var_edges must be a boolean")
+    return LigGraph(num_vars, num_clauses, frozenset(cl_edges), plus)
 
 
 def export_graph(

@@ -300,6 +300,27 @@ def test_export_records_a_non_utf8_input(tmp_path):
     assert sorted(p.name for p in out.glob("*.json")) == ["ok.json"]
 
 
+@pytest.mark.parametrize("command", ["augment", "export"])
+def test_unreadable_input_is_recorded_and_the_rest_written(tmp_path, capsys, command):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "a.cnf").write_text("p cnf 2 1\n1 -2 0\n")
+    (src / "b.cnf").mkdir()  # matched by the glob, but cannot be read
+    (src / "c.cnf").write_text("p cnf 2 1\n-1 2 0\n")
+    out = tmp_path / "out"
+    chain = ["--chain", "SC"] if command == "augment" else []
+    code = main([command, "--input", str(src / "*.cnf"), *chain, "--out", str(out)])
+    assert code == EXIT_IO
+    records = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    by_name = {Path(r["input"]).name: r for r in records[1:]}
+    assert {name: r["status"] for name, r in by_name.items()} == {
+        "a.cnf": "ok", "b.cnf": "error", "c.cnf": "ok"}
+    assert "Is a directory" in by_name["b.cnf"]["error"]
+    suffix = ".cnf" if command == "augment" else ".json"
+    assert sorted(p.name for p in out.iterdir()) == [f"a{suffix}", f"c{suffix}", "manifest.jsonl"]
+    assert "2/3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["augment", "export", "pair"])
 def test_rerun_into_one_out_refuses_to_overwrite(tmp_path, capsys, command):
     src = tmp_path / "src"

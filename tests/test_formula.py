@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cnfaug import (
     DimacsError,
@@ -13,7 +14,7 @@ from cnfaug import (
     satisfies,
     serialize_dimacs,
 )
-from conftest import formula_of, random_formula
+from conftest import formula_of, random_formula, small_formulas
 
 
 def test_make_clause_sorts_and_dedupes():
@@ -113,3 +114,10 @@ def test_satisfies_partial_assignment():
     f = formula_of(3, [1, 2], [-3])
     assert satisfies(f, {1: True, 3: False})
     assert not satisfies(f, {1: False, 2: False, 3: False})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_formulas())
+def test_parse_of_serialize_is_identity_on_canonical_formulas(formula):
+    canonical = canonicalize(formula)
+    assert parse_dimacs(serialize_dimacs(canonical)) == canonical

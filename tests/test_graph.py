@@ -2,11 +2,14 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfaug import (
     Formula,
     LigGraph,
     build_lig,
+    canonicalize,
     export_graph,
     flip_node,
     graph_from_json,
@@ -15,10 +18,48 @@ from cnfaug import (
     node_literal,
     to_formula,
 )
-from conftest import formula_of
+from cnfaug.graph import LITERAL_INDEXING, SCHEMA_NAME, SCHEMA_VERSION
+from conftest import formula_of, non_canonical, small_formulas
 
 # (x | -y | -z) & (-x | y | z) with x,y,z = 1,2,3
 THREE_VAR = formula_of(3, [1, -2, -3], [-1, 2, 3])
+
+# graph_to_json(build_lig(THREE_VAR), source="a.cnf", chain="SC"), as the
+# json.dumps writer produced it; written out so this pin needs no json module
+THREE_VAR_DOCUMENT = (
+    '{\n  "cl_edges": [\n    [\n      0,\n      0\n    ],\n    [\n      1,\n      1\n    ],\n'
+    '    [\n      2,\n      1\n    ],\n    [\n      3,\n      0\n    ],\n'
+    '    [\n      4,\n      1\n    ],\n    [\n      5,\n      0\n    ]\n  ],\n'
+    '  "literal_indexing": "positive literal of variable v (1-based) is node 2*(v-1); '
+    'negative literal is 2*(v-1)+1; complement = index XOR 1",\n'
+    '  "num_clauses": 2,\n  "num_vars": 3,\n'
+    '  "provenance": {\n    "chain": "SC",\n    "source": "a.cnf"\n  },\n'
+    '  "schema": "cnfaug.graph",\n  "schema_version": 1,\n  "var_edges": true\n}\n'
+)
+
+# provenance values: absent, plain names, and strings the encoder must escape
+PROVENANCE = [
+    (None, None),
+    ("a.cnf", "CR:0.2:42,SC"),
+    ('quo"te\\back\nslash.cnf', "caf\u00e9 \U0001f600"),
+]
+
+
+def reference_graph_to_json(
+    graph: LigGraph, *, source: str | None = None, chain: str | None = None
+) -> str:
+    """The former writer: the v1 document through json.dumps(indent=2)."""
+    doc = {
+        "schema": SCHEMA_NAME,
+        "schema_version": SCHEMA_VERSION,
+        "num_vars": graph.num_vars,
+        "num_clauses": graph.num_clauses,
+        "literal_indexing": LITERAL_INDEXING,
+        "cl_edges": sorted([l, c] for l, c in graph.cl_edges),
+        "var_edges": graph.plus,
+        "provenance": {"source": source, "chain": chain},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_literal_node_convention():
@@ -120,3 +161,73 @@ def test_export_graph_to_stream_and_path(tmp_path):
 def test_rejects_wrong_schema():
     with pytest.raises(ValueError):
         graph_from_json(json.dumps({"schema": "other", "schema_version": 1}))
+
+
+def test_export_golden_document():
+    assert graph_to_json(build_lig(THREE_VAR), source="a.cnf", chain="SC") == THREE_VAR_DOCUMENT
+
+
+def test_writer_matches_reference(sr_corpus, ur_corpus, pr_corpus):
+    formulas = [inst.formula for corpus in (sr_corpus, ur_corpus, pr_corpus) for inst in corpus[:300]]
+    formulas += [non_canonical(f) for f in formulas]
+    formulas += [Formula(0, ()), formula_of(2, [1, -2], []), Formula(1, ((),))]
+    for i, formula in enumerate(formulas):
+        for plus in (True, False):
+            graph = build_lig(formula, plus)
+            source, chain = PROVENANCE[i % len(PROVENANCE)]
+            assert graph_to_json(graph, source=source, chain=chain) == reference_graph_to_json(
+                graph, source=source, chain=chain
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_formulas(), st.booleans(), st.none() | st.text(), st.none() | st.text())
+def test_writer_matches_reference_property(formula, plus, source, chain):
+    graph = build_lig(formula, plus)
+    assert graph_to_json(graph, source=source, chain=chain) == reference_graph_to_json(
+        graph, source=source, chain=chain
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_formulas(), st.booleans())
+def test_json_round_trip_recovers_the_canonical_formula(formula, plus):
+    document = graph_to_json(build_lig(formula, plus))
+    assert to_formula(graph_from_json(document)) == canonicalize(formula)
+
+
+def _document(**changes) -> str:
+    doc = json.loads(graph_to_json(build_lig(THREE_VAR)))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[1, 2]", "JSON object", id="array"),
+        pytest.param('"cnfaug.graph"', "JSON object", id="string"),
+        pytest.param("not json", "Expecting value", id="not-json"),
+        pytest.param(json.dumps({"schema": "cnfaug.graph", "schema_version": 1}), "num_vars", id="header-only"),
+        pytest.param(_document(schema_version=2), "not a recognized", id="version-2"),
+        pytest.param(_document(schema_version=True), "not a recognized", id="version-bool"),
+        pytest.param(_document(schema_version=1.0), "not a recognized", id="version-float"),
+        pytest.param(_document(num_vars=-1), "num_vars", id="negative-vars"),
+        pytest.param(_document(num_vars=3.0), "num_vars", id="float-vars"),
+        pytest.param(_document(num_clauses=None), "num_clauses", id="null-clauses"),
+        pytest.param(_document(num_clauses=False), "num_clauses", id="bool-clauses"),
+        pytest.param(_document(cl_edges={"0": 0}), "cl_edges must be a list", id="edges-object"),
+        pytest.param(_document(cl_edges=[[0.5, 0]]), "pair of integers", id="float-edge"),
+        pytest.param(_document(cl_edges=[[0, True]]), "pair of integers", id="bool-edge"),
+        pytest.param(_document(cl_edges=[[0, 0, 0]]), "pair of integers", id="triple-edge"),
+        pytest.param(_document(cl_edges=[0]), "pair of integers", id="scalar-edge"),
+        pytest.param(_document(cl_edges=[[6, 0]]), "outside the node ranges", id="literal-out-of-range"),
+        pytest.param(_document(cl_edges=[[0, 2]]), "outside the node ranges", id="clause-out-of-range"),
+        pytest.param(_document(cl_edges=[[-1, 0]]), "outside the node ranges", id="negative-node"),
+        pytest.param(_document(var_edges=1), "var_edges", id="int-var-edges"),
+        pytest.param(_document(var_edges=None), "var_edges", id="null-var-edges"),
+    ],
+)
+def test_import_rejects_malformed_documents(text, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(text)
