@@ -11,6 +11,9 @@ unless ``--timing`` is passed, and per-file work runs in input-path order.
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data failure (unparsable
 inputs, oracle budget exhaustion, or label flips under ``verify --strict``).
+``augment``, ``export`` and ``verify`` record a failing file and go on; the
+run then exits 2 if any input could not be read or written, else 3.
+``verify`` and ``stats`` exit 2 before any work on a missing directory.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .chains import ChainParseError, apply_chain, parse_chain
 from .contrastive import make_pair
-from .formula import DimacsError, Formula, clause_mask, parse_dimacs, serialize_dimacs
+from .formula import Formula, clause_mask, parse_dimacs, serialize_dimacs
 from .gen import GenFamily, GenSpec, append_manifest, gen_corpus, write_corpus
 from .graph import build_lig, export_graph
 from .lpa import strict_supersets
@@ -85,16 +88,42 @@ def _run_header(command: str, argv: list[str], seed: int | None = None) -> dict:
     return {"command": command, "argv": argv, "seed": seed, "version": __version__}
 
 
-def _elapsed(started: float | None) -> float | None:
-    return round((time.perf_counter() - started) * 1000, 3) if started is not None else None
+def _directory(name: str) -> Path:
+    """A missing directory is an I/O error, not an empty corpus."""
+    path = Path(name)
+    if not path.is_dir():
+        raise NotADirectoryError(f"{path} is not a directory")
+    return path
 
 
-def _exit_code(failures: int, unreadable: list[Path]) -> int:
-    """Exit code of a per-file run whose manifest is written: an input that
-    could not be read is an I/O failure, any other failed file a data one."""
-    if unreadable:
-        return EXIT_IO
-    return EXIT_DATA if failures else EXIT_OK
+def _read_formula(path: Path) -> Formula:
+    return parse_dimacs(path.read_text(encoding="utf-8"))
+
+
+def _solve_both(before: Formula, after: Formula) -> dict:
+    """Labels and DPLL decision counts of a formula and its view."""
+    one, two = solve_dpll(before), solve_dpll(after)
+    return {"label_before": one.label.value, "label_after": two.label.value,
+            "decisions_before": one.decisions, "decisions_after": two.decisions}
+
+
+def _each_file(paths: list[Path], work, **fields) -> tuple[list[dict], int]:
+    """One record per input, in path order, filled in by ``work(path, record)``;
+    a failing file is recorded as an error, and the exit code follows the
+    module docstring.  ``ValueError`` covers ``DimacsError``, non-UTF-8 input,
+    chain errors and DPLL's variable limit."""
+    records, code = [], EXIT_OK
+    for path in paths:
+        record = {"input": str(path), **fields}
+        try:
+            work(path, record)
+        except (OSError, ValueError, OracleBudgetError) as exc:
+            record.update(status="error", error=str(exc))
+            code = EXIT_IO if isinstance(exc, OSError) else code or EXIT_DATA  # 2 outranks 3
+        else:
+            record["status"] = "ok"
+        records.append(record)
+    return records, code
 
 
 def cmd_gen(args) -> int:
@@ -140,75 +169,40 @@ def cmd_augment(args) -> int:
     out = Path(args.out)
     names = _output_names(inputs, lambda path: path.name, out)
     out.mkdir(parents=True, exist_ok=True)
-    unreadable: list[Path] = []
 
-    def work(path: Path) -> dict:
-        started = time.perf_counter() if args.timing else None
-        record: dict = {"input": str(path), "chain": args.chain, "output": None,
-                        "label_before": None, "label_after": None,
-                        "decisions_before": None, "decisions_after": None}
+    def work(path: Path, record: dict) -> None:
+        started = time.perf_counter()
         try:
-            formula = parse_dimacs(path.read_text(encoding="utf-8"))
+            formula = _read_formula(path)
             augmented = apply_chain(formula, chain)
-        except OSError as exc:
-            unreadable.append(path)
-            record.update(status="error", error=str(exc), elapsed_ms=_elapsed(started))
-            return record
-        except (DimacsError, ValueError) as exc:
-            record.update(status="error", error=str(exc), elapsed_ms=_elapsed(started))
-            return record
-        if args.verify:
-            try:
-                before = solve_dpll(formula)
-                after = solve_dpll(augmented)
-            except (ValueError, OracleBudgetError) as exc:
-                record.update(status="error", error=str(exc), elapsed_ms=_elapsed(started))
-                return record
-            record.update(
-                label_before=before.label.value,
-                label_after=after.label.value,
-                decisions_before=before.decisions,
-                decisions_after=after.decisions,
-            )
-        name = names[path]
-        (out / name).write_text(serialize_dimacs(augmented), encoding="utf-8")
-        record.update(status="ok", output=name, elapsed_ms=_elapsed(started))
-        return record
+            if args.verify:
+                record.update(_solve_both(formula, augmented))
+            (out / names[path]).write_text(serialize_dimacs(augmented), encoding="utf-8")
+            record["output"] = names[path]
+        finally:
+            elapsed = round((time.perf_counter() - started) * 1000, 3)
+            record["elapsed_ms"] = elapsed if args.timing else None
 
-    records = [work(path) for path in inputs]
+    records, code = _each_file(inputs, work, chain=args.chain, output=None, label_before=None,
+                               label_after=None, decisions_before=None, decisions_after=None)
     append_manifest(out, _run_header("augment", args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"augmented {len(records) - failures}/{len(records)} files into {out}")
-    return _exit_code(failures, unreadable)
+    return code
 
 
 def cmd_verify(args) -> int:
-    before_dir, after_dir = Path(args.before), Path(args.after)
-    before_files = sorted(before_dir.glob("*.cnf"))
+    before_dir, after_dir = _directory(args.before), _directory(args.after)
 
-    def work(path: Path) -> dict:
+    def work(path: Path, record: dict) -> None:
         twin = after_dir / path.name
-        record = {"input": str(path), "after": str(twin)}
+        record["after"] = str(twin)
         if not twin.exists():
-            record.update(status="error", error="missing counterpart")
-            return record
-        try:
-            before = solve_dpll(parse_dimacs(path.read_text(encoding="utf-8")))
-            after = solve_dpll(parse_dimacs(twin.read_text(encoding="utf-8")))
-        except (DimacsError, ValueError, OracleBudgetError) as exc:
-            record.update(status="error", error=str(exc))
-            return record
-        record.update(
-            status="ok",
-            label_before=before.label.value,
-            label_after=after.label.value,
-            decisions_before=before.decisions,
-            decisions_after=after.decisions,
-            preserved=before.label is after.label,
-        )
-        return record
+            raise ValueError("missing counterpart")
+        record.update(_solve_both(_read_formula(path), _read_formula(twin)))
+        record["preserved"] = record["label_before"] == record["label_after"]
 
-    records = [work(path) for path in before_files]
+    records, code = _each_file(sorted(before_dir.glob("*.cnf")), work)
     flipped = [Path(r["input"]).name for r in records if r.get("preserved") is False]
     errors = sum(1 for r in records if r["status"] == "error")
     report = {
@@ -219,11 +213,7 @@ def cmd_verify(args) -> int:
         "flipped_files": flipped,
     }
     print(json.dumps(report, indent=2, sort_keys=True))
-    if errors:
-        return EXIT_DATA
-    if args.strict and flipped:
-        return EXIT_DATA
-    return EXIT_OK
+    return code or (EXIT_DATA if args.strict and flipped else EXIT_OK)
 
 
 def _subsumed_clause_count(formula: Formula) -> int:
@@ -239,28 +229,22 @@ def cmd_stats(args) -> int:
         chain = parse_chain(args.chain) if args.chain else None
     except ChainParseError as exc:
         raise _UsageError(str(exc)) from exc
-    corpus_dir = Path(args.corpus)
-    files = sorted(corpus_dir.glob("*.cnf"))
+    files = sorted(_directory(args.corpus).glob("*.cnf"))
     if not files:
         print(json.dumps({"instances": 0}, indent=2, sort_keys=True))
         return EXIT_OK
 
     def work(path: Path) -> dict:
         try:
-            formula = parse_dimacs(path.read_text(encoding="utf-8"))
+            formula = _read_formula(path)
             row = {
                 "clauses": formula.num_clauses,
                 "vars": formula.num_vars,
                 "subsumed": _subsumed_clause_count(formula),
             }
             if chain is not None:
-                before = solve_dpll(formula)
-                after = solve_dpll(apply_chain(formula, chain))
-                row.update(
-                    decisions_before=before.decisions,
-                    decisions_after=after.decisions,
-                )
-        except (DimacsError, ValueError, OracleBudgetError) as exc:
+                row.update(_solve_both(formula, apply_chain(formula, chain)))
+        except (ValueError, OracleBudgetError) as exc:
             raise _DataError(f"{path}: {exc}") from exc
         return row
 
@@ -307,34 +291,21 @@ def cmd_export(args) -> int:
     out = Path(args.out)
     names = _output_names(inputs, lambda path: path.stem + ".json", out)
     out.mkdir(parents=True, exist_ok=True)
-    unreadable: list[Path] = []
 
-    def work(path: Path) -> dict:
-        record: dict = {"input": str(path), "output": None, "plus": not args.no_plus}
-        try:
-            formula = parse_dimacs(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            unreadable.append(path)
-            record.update(status="error", error=str(exc))
-            return record
-        except (DimacsError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
-            record.update(status="error", error=str(exc))
-            return record
-        name = names[path]
+    def work(path: Path, record: dict) -> None:
         export_graph(
-            build_lig(formula, plus=not args.no_plus),
-            out / name,
+            build_lig(_read_formula(path), plus=not args.no_plus),
+            out / names[path],
             source=path.name,
             chain=None,
         )
-        record.update(status="ok", output=name)
-        return record
+        record["output"] = names[path]
 
-    records = [work(path) for path in inputs]
+    records, code = _each_file(inputs, work, output=None, plus=not args.no_plus)
     append_manifest(out, _run_header("export", args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"exported {len(records) - failures}/{len(records)} graphs into {out}")
-    return _exit_code(failures, unreadable)
+    return code
 
 
 def cmd_pair(args) -> int:
@@ -348,8 +319,8 @@ def cmd_pair(args) -> int:
     names = (f"{path.stem}.view1.cnf", f"{path.stem}.view2.cnf")
     _refuse_existing(out, names)
     try:
-        view1, view2 = make_pair(parse_dimacs(path.read_text(encoding="utf-8")), chain1, chain2)
-    except (DimacsError, ValueError) as exc:
+        view1, view2 = make_pair(_read_formula(path), chain1, chain2)
+    except ValueError as exc:
         raise _DataError(f"{path}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     (out / names[0]).write_text(serialize_dimacs(view1), encoding="utf-8")

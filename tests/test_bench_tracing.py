@@ -1,5 +1,6 @@
 """The benchmark's tracer binds cnfaug functions by name; a deleted or
-renamed binding would otherwise break only traced benchmark runs."""
+renamed binding, or a CLI helper that calls around it, would otherwise break
+only traced benchmark runs."""
 
 import subprocess
 import sys
@@ -9,6 +10,34 @@ import cnfaug
 
 BENCH = Path(__file__).resolve().parent.parent / "cnfbench"
 
+# Runs gen -> augment --verify -> verify -> export through cli.main under the
+# tracer and checks, stage by stage, that each wrapped layer was called once
+# per file (twice for the two solves or parses of a before/after pair).
+PIPELINE = """
+from collections import Counter
+from pathlib import Path
+from cnfaug import cli
+
+def calls():
+    return Counter(tracer.summary()["calls"])
+
+def stage(*argv):
+    seen = calls()
+    assert cli.main(list(argv)) == 0, argv
+    return calls() - seen
+
+stage("gen", "--family", "pr", "--vars", "8", "--clauses", "30", "--k", "3",
+      "--exp", "1.7", "--count", "4", "--seed", "3", "--out", "corpus")
+n = len(list(Path("corpus").glob("*.cnf")))
+assert n == 4, n
+d = stage("augment", "--input", "corpus/*.cnf", "--chain", "CR:0.2:1,SC", "--out", "aug", "--verify")
+assert (d["formula.parse_dimacs"], d["chains.apply_chain"], d["oracle.solve_dpll"]) == (n, n, 2 * n), d
+d = stage("verify", "--before", "corpus", "--after", "aug", "--strict")
+assert (d["formula.parse_dimacs"], d["oracle.solve_dpll"]) == (2 * n, 2 * n), d
+d = stage("export", "--input", "aug/*.cnf", "--out", "graphs")
+assert (d["formula.parse_dimacs"], d["graph.export_graph"]) == (n, n), d
+"""
+
 
 def test_tracer_installs_on_the_package_under_test(tmp_path):
     package_root = str(Path(cnfaug.__file__).resolve().parent.parent)
@@ -17,7 +46,8 @@ def test_tracer_installs_on_the_package_under_test(tmp_path):
         "import cnfaug\n"
         f"assert cnfaug.__file__.startswith({package_root!r}), cnfaug.__file__\n"
         "from tracing import Tracer, install\n"
-        "install(Tracer())\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n" + PIPELINE
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), timeout=60

@@ -201,6 +201,18 @@ def test_verify_missing_counterpart_is_data_error(tmp_path):
     assert main(["verify", "--before", str(tmp_path / "b"), "--after", str(tmp_path / "a")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("missing", ["before", "after"])
+def test_verify_missing_directory_is_io_error(tmp_path, capsys, missing):
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "f.cnf").write_text("p cnf 1 1\n1 0\n")
+    # a typo must not pass the strict label check
+    dirs = {"before": tmp_path / "b", "after": tmp_path / "b", missing: tmp_path / "nope"}
+    argv = ["verify", "--before", str(dirs["before"]), "--after", str(dirs["after"]), "--strict"]
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("I/O error:") and "nope" in err
+
+
 def test_stats_report(tmp_path, capsys):
     src = tmp_path / "src"
     assert run_gen(src) == EXIT_OK
@@ -211,6 +223,12 @@ def test_stats_report(tmp_path, capsys):
     assert report["subsumed_clause_fraction"] == 0.0  # equal-width clauses
     assert "decisions_before_median" in report
     assert "propagation_only_after_fraction" in report
+
+
+def test_stats_missing_directory_is_io_error(tmp_path, capsys):
+    assert main(["stats", "--corpus", str(tmp_path / "nope")]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("I/O error:") and "nope" in err
 
 
 def test_stats_unknown_chain_is_usage_error(tmp_path, capsys):
@@ -300,13 +318,18 @@ def test_export_records_a_non_utf8_input(tmp_path):
     assert sorted(p.name for p in out.glob("*.json")) == ["ok.json"]
 
 
-@pytest.mark.parametrize("command", ["augment", "export"])
+@pytest.mark.parametrize("command", ["augment", "export", "verify"])
 def test_unreadable_input_is_recorded_and_the_rest_written(tmp_path, capsys, command):
     src = tmp_path / "in"
     src.mkdir()
     (src / "a.cnf").write_text("p cnf 2 1\n1 -2 0\n")
     (src / "b.cnf").mkdir()  # matched by the glob, but cannot be read
     (src / "c.cnf").write_text("p cnf 2 1\n-1 2 0\n")
+    if command == "verify":
+        assert main(["verify", "--before", str(src), "--after", str(src)]) == EXIT_IO
+        report = json.loads(capsys.readouterr().out)
+        assert (report["pairs"], report["preserved"], report["errors"]) == (3, 2, 1)
+        return
     out = tmp_path / "out"
     chain = ["--chain", "SC"] if command == "augment" else []
     code = main([command, "--input", str(src / "*.cnf"), *chain, "--out", str(out)])
@@ -318,6 +341,32 @@ def test_unreadable_input_is_recorded_and_the_rest_written(tmp_path, capsys, com
     assert "Is a directory" in by_name["b.cnf"]["error"]
     suffix = ".cnf" if command == "augment" else ".json"
     assert sorted(p.name for p in out.iterdir()) == [f"a{suffix}", f"c{suffix}", "manifest.jsonl"]
+    assert "2/3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["augment", "export"])
+def test_failed_write_is_recorded_and_the_rest_written(tmp_path, capsys, command):
+    src = tmp_path / "in"
+    src.mkdir()
+    for stem in "abc":
+        (src / f"{stem}.cnf").write_text("p cnf 2 1\n1 -2 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    suffix = ".cnf" if command == "augment" else ".json"
+    # a dangling link is not an existing output, so the run is not refused,
+    # but b's output cannot be written once b has been read
+    (out / f"b{suffix}").symlink_to(out / "missing" / "b")
+    flags = ["--chain", "SC", "--timing"] if command == "augment" else []
+    code = main([command, "--input", str(src / "*.cnf"), *flags, "--out", str(out)])
+    assert code == EXIT_IO
+    records = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    by_name = {Path(r["input"]).name: r for r in records[1:]}
+    assert {name: r["status"] for name, r in by_name.items()} == {
+        "a.cnf": "ok", "b.cnf": "error", "c.cnf": "ok"}
+    assert by_name["b.cnf"]["output"] is None and "No such file" in by_name["b.cnf"]["error"]
+    if command == "augment":  # a failed file is timed too
+        assert all(isinstance(r["elapsed_ms"], float) for r in by_name.values())
+    assert (out / f"a{suffix}").is_file() and (out / f"c{suffix}").is_file()
     assert "2/3" in capsys.readouterr().out
 
 

@@ -423,6 +423,30 @@ class TestVariableEliminateEngine:
         assert formula.num_vars - len(after) >= eliminated
 
 
+def _sc(formula, rate, seed):
+    return subsumed_clause_eliminate(formula)
+
+
+class TestPropertiesAgainstBruteForce:
+    """On top of the fixed-seed corpus tests: any small formula, rate and seed."""
+
+    @pytest.mark.parametrize(
+        "fn", [unit_propagate, add_unit_literal, pure_literal_eliminate, _sc, clause_resolution]
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(small_formulas(), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_label(self, fn, formula, rate, seed):
+        assert solve_brute(fn(formula, rate, seed)) is solve_brute(formula)
+
+    @pytest.mark.parametrize("fn", [_sc, clause_resolution])
+    @settings(max_examples=200, deadline=None)
+    @given(small_formulas(), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_model_count(self, fn, formula, rate, seed):
+        out = fn(formula, rate, seed)
+        assert out.num_vars == formula.num_vars
+        assert count_models(out) == count_models(formula)
+
+
 class TestDeterminismAndThroughput:
     @pytest.mark.parametrize(
         "fn",
