@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data failure (unparsable
 inputs, oracle budget exhaustion, or label flips under ``verify --strict``).
 ``augment``, ``export`` and ``verify`` record a failing file and go on; the
 run then exits 2 if any input could not be read or written, else 3.
-``verify`` and ``stats`` exit 2 before any work on a missing directory.
+``verify`` and ``stats`` exit 2 before any work on a missing directory, and
+``augment`` and ``export`` on an ``--input`` pattern that matches no file.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class _Parser(argparse.ArgumentParser):
 def _expand_inputs(patterns: list[str]) -> list[Path]:
     paths: set[Path] = set()
     for pattern in patterns:
-        paths.update(Path(p) for p in glob.glob(pattern))
+        if not (matches := glob.glob(pattern)):
+            raise FileNotFoundError(f"no file matches {pattern}")
+        paths.update(map(Path, matches))
     return sorted(paths)
 
 

@@ -127,9 +127,6 @@ class Formula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def canonical(self) -> "Formula":
-        return canonicalize(self)
-
 
 def canonicalize(formula: Formula) -> Formula:
     """Normalize every clause (sort + dedupe literals); clause order is kept.

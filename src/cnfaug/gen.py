@@ -148,26 +148,33 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     )
 
 
-def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
-    """Uniform random k-SAT instance with an oracle-assigned label."""
-    if not 1 <= clause_len <= num_vars:
-        raise ValueError("clause_len must lie in [1, num_vars]")
+def _random_ksat(
+    family: GenFamily, num_vars: int, num_clauses: int, clause_len: int, seed: int, draw, **params
+) -> LabeledInstance:
+    """Random k-SAT instance with an oracle-assigned label: each clause takes
+    its variables from ``draw(rng)`` and a fair-coin polarity for each."""
     rng = seeded_rng(seed)
     clauses = []
     for _ in range(num_clauses):
-        variables = rng.choice(num_vars, size=clause_len, replace=False) + 1
+        variables = draw(rng)
         flips = rng.integers(2, size=clause_len)
         clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(variables, flips)))
     formula = Formula(num_vars, tuple(clauses))
     label = solve_dpll(formula).label
-    meta = {
-        "family": GenFamily.UR.value,
-        "seed": seed,
-        "num_vars": num_vars,
-        "num_clauses": num_clauses,
-        "clause_len": clause_len,
-    }
+    meta = {"family": family.value, "seed": seed, "num_vars": num_vars,
+            "num_clauses": num_clauses, "clause_len": clause_len, **params}
     return LabeledInstance(formula, label, meta)
+
+
+def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
+    """Uniform random k-SAT instance with an oracle-assigned label."""
+    if not 1 <= clause_len <= num_vars:
+        raise ValueError("clause_len must lie in [1, num_vars]")
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(num_vars, size=clause_len, replace=False) + 1
+
+    return _random_ksat(GenFamily.UR, num_vars, num_clauses, clause_len, seed, draw)
 
 
 def _power_weights(num_vars: int, exponent: float) -> np.ndarray:
@@ -190,28 +197,19 @@ def gen_pr(
         raise ValueError("clause_len must lie in [1, num_vars]")
     if power_exponent <= 1:
         raise ValueError("power_exponent must exceed 1")
-    rng = seeded_rng(seed)
     weights = _power_weights(num_vars, power_exponent)
-    clauses = []
-    for _ in range(num_clauses):
+
+    def draw(rng: np.random.Generator) -> list[int]:
         chosen: list[int] = []
         while len(chosen) < clause_len:
             v = int(rng.choice(num_vars, p=weights)) + 1
             if v not in chosen:
                 chosen.append(v)
-        flips = rng.integers(2, size=clause_len)
-        clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(chosen, flips)))
-    formula = Formula(num_vars, tuple(clauses))
-    label = solve_dpll(formula).label
-    meta = {
-        "family": GenFamily.PR.value,
-        "seed": seed,
-        "num_vars": num_vars,
-        "num_clauses": num_clauses,
-        "clause_len": clause_len,
-        "power_exponent": power_exponent,
-    }
-    return LabeledInstance(formula, label, meta)
+        return chosen
+
+    return _random_ksat(
+        GenFamily.PR, num_vars, num_clauses, clause_len, seed, draw, power_exponent=power_exponent
+    )
 
 
 def gen_corpus(spec: GenSpec, count: int, seed: int) -> list[LabeledInstance]:

@@ -33,8 +33,8 @@ from .formula import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_RESOLVE_ATTEMPTS = 50
-DEFAULT_RESOLVENT_BOUND_FACTOR = 2.0
+MAX_RESOLVE_ATTEMPTS = 50
+RESOLVENT_BOUND_FACTOR = 2.0
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -63,31 +63,26 @@ def _delete_literal(clauses: list[Clause], lit: int) -> list[Clause]:
     return out
 
 
-def unit_propagate(
-    formula: Formula, rate: float, seed: int, *, to_fixpoint: bool = False
-) -> Formula:
+def unit_propagate(formula: Formula, rate: float, seed: int) -> Formula:
     """Propagate a seeded selection of unit clauses.
 
     Performs ``ceil(rate * u)`` single propagation steps, where ``u`` counts
     the unit clauses of the input; after each step the formula is re-scanned
-    (propagation may create new units).  With ``to_fixpoint=True`` the rate
-    is ignored and propagation runs until no unit clause remains.  If
-    complementary units are derived the output contains the empty clause.
+    (propagation may create new units).  If complementary units are derived
+    the output contains the empty clause.
     """
     clauses = list(formula.clauses)
     units_at_start = sum(1 for c in clauses if len(c) == 1)
-    steps = units_at_start if to_fixpoint else _ceil_count(rate, units_at_start)
+    steps = _ceil_count(rate, units_at_start)
     if steps == 0:
         return formula
     rng = seeded_rng(seed)
-    done = 0
-    while to_fixpoint or done < steps:
+    for _ in range(steps):
         unit_positions = [i for i, c in enumerate(clauses) if len(c) == 1]
         if not unit_positions:
             break
         pick = unit_positions[int(rng.integers(len(unit_positions)))]
         clauses = _delete_literal(clauses, clauses[pick][0])
-        done += 1
     return Formula(formula.num_vars, tuple(clauses))
 
 
@@ -212,18 +207,12 @@ def _occurrence_lists(masks: list[int], num_vars: int) -> list[list[int]]:
     return occurrences
 
 
-def clause_resolution(
-    formula: Formula,
-    rate: float,
-    seed: int,
-    *,
-    max_attempts_per_resolvent: int = DEFAULT_MAX_RESOLVE_ATTEMPTS,
-) -> Formula:
+def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     """Append ``ceil(rate * m)`` resolvents of seeded-random clause pairs.
 
     Pairs are drawn uniformly over complementary literal occurrences of the
-    input (with replacement); tautological resolvents and duplicates of
-    current clauses are skipped and redrawn within a bounded attempt budget.
+    input (with replacement); tautologies and duplicates of current clauses
+    are redrawn, within ``MAX_RESOLVE_ATTEMPTS`` draws per requested resolvent.
     When the budget runs out first, fewer resolvents are appended and an
     INFO record gives the count added, the count requested and the budget.
     Identity when no complementary pair exists.
@@ -247,7 +236,7 @@ def clause_resolution(
     even = positive_bits(formula.num_vars)
     existing = set(masks)
     added: list[int] = []
-    budget = max_attempts_per_resolvent * target
+    budget = MAX_RESOLVE_ATTEMPTS * target
     attempts = 0
     while len(added) < target and attempts < budget:
         attempts += 1
@@ -271,11 +260,11 @@ def clause_resolution(
 
 
 def _elimination_plan(
-    masks: list[int], pos: list[int], neg: list[int], pbit: int, even: int, bound_factor: float
+    masks: list[int], pos: list[int], neg: list[int], pbit: int, even: int
 ) -> list[int] | None:
     """Resolvent masks of eliminating the variable whose positive literal is
-    the mask ``pbit``, or ``None`` when their count exceeds ``bound_factor``
-    times the touched clauses.
+    the mask ``pbit``, or ``None`` when their count exceeds
+    ``RESOLVENT_BOUND_FACTOR`` times the touched clauses.
 
     ``pos``/``neg`` index the clauses holding each polarity.  Clauses holding
     both are tautologies: they count as touched but are not resolved, so the
@@ -284,7 +273,7 @@ def _elimination_plan(
     """
     nbit = pbit << 1
     both = [i for i in pos if masks[i] & nbit]
-    limit = bound_factor * (len(pos) + len(neg) - len(both))
+    limit = RESOLVENT_BOUND_FACTOR * (len(pos) + len(neg) - len(both))
     if both:
         pos = [i for i in pos if i not in both]
         neg = [i for i in neg if i not in both]
@@ -302,17 +291,11 @@ def _elimination_plan(
     return list(resolvents)
 
 
-def variable_eliminate(
-    formula: Formula,
-    rate: float,
-    seed: int,
-    *,
-    resolvent_bound_factor: float = DEFAULT_RESOLVENT_BOUND_FACTOR,
-) -> Formula:
+def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     """Eliminate ``max(1, ceil(rate * num_vars))`` variables by resolution.
 
     For each step a seeded-random variable is chosen among those whose
-    elimination yields at most ``resolvent_bound_factor`` times as many
+    elimination yields at most ``RESOLVENT_BOUND_FACTOR`` times as many
     resolvents as clauses removed; the touching clauses are replaced by all
     non-tautological pairwise resolvents (deduplicated, appended in
     generation order).  Eliminated variables occur nowhere in the output;
@@ -340,7 +323,7 @@ def variable_eliminate(
         plans = {}
         for v in sorted(remaining):
             pos, neg = occurrences[2 * v - 2], occurrences[2 * v - 1]
-            plan = _elimination_plan(masks, pos, neg, 1 << (2 * v - 2), even, resolvent_bound_factor)
+            plan = _elimination_plan(masks, pos, neg, 1 << (2 * v - 2), even)
             if plan is not None:
                 plans[v] = plan
         if not plans:

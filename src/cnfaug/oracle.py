@@ -21,21 +21,14 @@ import numpy as np
 
 from .formula import Formula, Label, clause_mask, polarities, positive_bits
 
+MAX_VARS = 200
+MAX_DECISIONS = 1_000_000
 BRUTE_MAX_VARS = 24
 _CHUNK_BITS = 18  # assignments are enumerated in blocks of 2**_CHUNK_BITS
 
 
 class OracleBudgetError(RuntimeError):
     """The decision budget ran out before a label was established."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_vars: int = 200
-    max_decisions: int = 1_000_000
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -62,8 +55,7 @@ def _assign(clauses: list[int], lit: int, comp: int) -> list[int] | None:
 
 
 class _Search:
-    def __init__(self, config: SolverConfig, num_vars: int):
-        self.config = config
+    def __init__(self, num_vars: int):
         self.even = positive_bits(num_vars)
         self.decisions = 0
         self.propagations = 0
@@ -98,9 +90,9 @@ class _Search:
             low = pos & -pos
             for lit, comp in ((low, low << 1), (low << 1, low)):
                 self.decisions += 1
-                if self.decisions > self.config.max_decisions:
+                if self.decisions > MAX_DECISIONS:
                     raise OracleBudgetError(
-                        f"decision budget of {self.config.max_decisions} exhausted"
+                        f"decision budget of {MAX_DECISIONS} exhausted"
                     )
                 reduced = _assign(clauses, lit, comp)
                 if reduced is None:
@@ -112,7 +104,7 @@ class _Search:
         return trail
 
 
-def solve_dpll(formula: Formula, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def solve_dpll(formula: Formula) -> SolveResult:
     """Decide satisfiability with DPLL (unit propagation + pure literals).
 
     Deterministic: each step propagates the first unit clause, else the
@@ -126,11 +118,11 @@ def solve_dpll(formula: Formula, config: SolverConfig = DEFAULT_CONFIG) -> Solve
     Canonical clauses, all that parsing, the generators and the
     augmentations produce, hold no repeated literal.
     """
-    if formula.num_vars > config.max_vars:
+    if formula.num_vars > MAX_VARS:
         raise ValueError(
-            f"{formula.num_vars} variables exceeds the configured limit {config.max_vars}"
+            f"{formula.num_vars} variables exceeds the configured limit {MAX_VARS}"
         )
-    search = _Search(config, formula.num_vars)
+    search = _Search(formula.num_vars)
     masks = [clause_mask(c) for c in formula.clauses]
     found = None if 0 in masks else search.run(masks, 0)
     if found is None:

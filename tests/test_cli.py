@@ -290,6 +290,20 @@ def test_same_named_inputs_are_refused_before_writing(tmp_path, capsys, command)
     assert str(tmp_path / "a") in err and str(tmp_path / "b") in err
 
 
+@pytest.mark.parametrize("command", ["augment", "export"])
+def test_pattern_matching_no_file_is_io_error(tmp_path, capsys, command):
+    src = tmp_path / "corpus"
+    assert run_gen(src) == EXIT_OK
+    typo = str(tmp_path / "corpsu" / "*.cnf")
+    out = tmp_path / "out"
+    chain = ["--chain", "SC"] if command == "augment" else []
+    capsys.readouterr()
+    code = main([command, "--input", str(src / "*.cnf"), typo, *chain, "--out", str(out)])
+    assert code == EXIT_IO
+    assert not out.exists()
+    assert capsys.readouterr().err == f"I/O error: no file matches {typo}\n"
+
+
 def test_export_and_reimport(tmp_path):
     src = tmp_path / "src"
     assert run_gen(src) == EXIT_OK

@@ -63,6 +63,72 @@ SR_IDENTITY_CASES = [
 ]
 
 
+def reference_gen_ur(num_vars, num_clauses, clause_len, seed):
+    """``gen_ur`` with its own clause loop, from before UR and PR shared one
+    body, kept as the reference the shared body must match."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.choice(num_vars, size=clause_len, replace=False) + 1
+        flips = rng.integers(2, size=clause_len)
+        clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(variables, flips)))
+    formula = Formula(num_vars, tuple(clauses))
+    label = solve_dpll(formula).label
+    meta = {
+        "family": GenFamily.UR.value,
+        "seed": seed,
+        "num_vars": num_vars,
+        "num_clauses": num_clauses,
+        "clause_len": clause_len,
+    }
+    return LabeledInstance(formula, label, meta)
+
+
+def reference_gen_pr(num_vars, num_clauses, clause_len, power_exponent, seed):
+    """``gen_pr`` with its own clause loop, kept like :func:`reference_gen_ur`."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = np.arange(1, num_vars + 1, dtype=float) ** -power_exponent
+    weights = weights / weights.sum()
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = []
+        while len(chosen) < clause_len:
+            v = int(rng.choice(num_vars, p=weights)) + 1
+            if v not in chosen:
+                chosen.append(v)
+        flips = rng.integers(2, size=clause_len)
+        clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(chosen, flips)))
+    formula = Formula(num_vars, tuple(clauses))
+    label = solve_dpll(formula).label
+    meta = {
+        "family": GenFamily.PR.value,
+        "seed": seed,
+        "num_vars": num_vars,
+        "num_clauses": num_clauses,
+        "clause_len": clause_len,
+        "power_exponent": power_exponent,
+    }
+    return LabeledInstance(formula, label, meta)
+
+
+# (num_vars, num_clauses, clause_len): a stock preset, full-width clauses,
+# no clauses, and one variable
+UR_SHAPES = [(12, 51, 3), (4, 6, 4), (5, 0, 3), (1, 3, 1)]
+PR_SHAPES = [(10, 41, 3, 1.7), (4, 6, 4, 1.7), (5, 0, 3, 2.5), (1, 3, 1, 2.5)]
+
+
+@pytest.mark.parametrize("shape", UR_SHAPES)
+def test_ur_matches_reference(shape):
+    for seed in range(200):
+        assert gen_ur(*shape, seed) == reference_gen_ur(*shape, seed), seed
+
+
+@pytest.mark.parametrize("shape", PR_SHAPES)
+def test_pr_matches_reference(shape):
+    for seed in range(200):
+        assert gen_pr(*shape, seed) == reference_gen_pr(*shape, seed), seed
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GenSpec(GenFamily.UR, 10)  # clause count required

@@ -1,6 +1,7 @@
 import logging
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cnfaug import (
     unit_propagate,
     variable_eliminate,
 )
+from cnfaug import lpa
 from cnfaug.lpa import _pure_variables
 from conftest import formula_of, non_canonical, random_formula, small_formulas
 
@@ -67,11 +69,6 @@ class TestUnitPropagate:
         out = unit_propagate(f, 1.0, 3)
         assert () in out.clauses
         assert solve_brute(out) is Label.UNSAT
-
-    def test_fixpoint_flag(self):
-        f = formula_of(3, [1], [-1, 2], [-2, 3])
-        out = unit_propagate(f, 0.0, 0, to_fixpoint=True)
-        assert out.clauses == ()
 
     def test_label_preserved(self, labeled_sample):
         brute_preserved(unit_propagate, *labeled_sample)
@@ -234,7 +231,7 @@ class TestClauseResolution:
         ]
 
 
-def reference_clause_resolution(formula, rate, seed, *, max_attempts_per_resolvent=50):
+def reference_clause_resolution(formula, rate, seed, max_attempts=50):
     """The tuple CR that the bitmask engine replaced: occurrences from a dict
     scan and one ``resolve`` set merge per attempt, kept as the reference it
     must match clause for clause on canonical inputs."""
@@ -254,7 +251,7 @@ def reference_clause_resolution(formula, rate, seed, *, max_attempts_per_resolve
     existing = {make_clause(c) for c in formula.clauses}
     added = []
     attempts = 0
-    while len(added) < target and attempts < max_attempts_per_resolvent * target:
+    while len(added) < target and attempts < max_attempts * target:
         attempts += 1
         v = pivots[int(rng.choice(len(pivots), p=weights))]
         ci = pos[v][int(rng.integers(len(pos[v])))]
@@ -271,12 +268,13 @@ class TestClauseResolutionEngine:
     RATES = (0.1, 0.2, 0.5, 1.0)
 
     @pytest.mark.parametrize("attempts", [50, 1])
-    def test_matches_reference_on_random_formulas(self, rng, attempts):
+    def test_matches_reference_on_random_formulas(self, rng, attempts, monkeypatch):
+        monkeypatch.setattr(lpa, "MAX_RESOLVE_ATTEMPTS", attempts)
         for idx in range(200):
             f = random_formula(rng, max_vars=10)
             for rate in self.RATES:
-                expected = reference_clause_resolution(f, rate, idx, max_attempts_per_resolvent=attempts)
-                assert clause_resolution(f, rate, idx, max_attempts_per_resolvent=attempts) == expected
+                expected = reference_clause_resolution(f, rate, idx, attempts)
+                assert clause_resolution(f, rate, idx) == expected
 
     def test_matches_reference_on_corpora(self, sr_corpus, ur_corpus, pr_corpus):
         sr40 = [inst.formula for seed in range(4) for inst in gen_corpus(GenSpec(GenFamily.SR, 40), 1, seed)]
@@ -352,7 +350,7 @@ def _reference_plan(clauses, var, bound_factor):
     return touched, resolvents
 
 
-def reference_variable_eliminate(formula, rate, seed, *, resolvent_bound_factor=2.0):
+def reference_variable_eliminate(formula, rate, seed, bound_factor=2.0):
     """The tuple-and-set VE that the bitmask engine replaced, kept as the
     reference it must match clause for clause."""
     requested = max(1, math.ceil(rate * formula.num_vars - 1e-9))
@@ -363,7 +361,7 @@ def reference_variable_eliminate(formula, rate, seed, *, resolvent_bound_factor=
         plans = {
             v: plan
             for v in sorted(remaining)
-            if (plan := _reference_plan(clauses, v, resolvent_bound_factor)) is not None
+            if (plan := _reference_plan(clauses, v, bound_factor)) is not None
         }
         if not plans:
             break
@@ -387,13 +385,14 @@ class _StopRecords(logging.Handler):
 
 class TestVariableEliminateEngine:
     @pytest.mark.parametrize("bound", [2.0, 1.0, 0.5])
-    def test_matches_reference(self, rng, bound):
+    def test_matches_reference(self, rng, bound, monkeypatch):
+        monkeypatch.setattr(lpa, "RESOLVENT_BOUND_FACTOR", bound)
         for idx in range(150):
             f = random_formula(rng, max_vars=10)
             for g in (f, non_canonical(f)):
                 for rate in (0.1, 0.5, 1.0):
-                    expected = reference_variable_eliminate(g, rate, idx, resolvent_bound_factor=bound)
-                    assert variable_eliminate(g, rate, idx, resolvent_bound_factor=bound) == expected
+                    expected = reference_variable_eliminate(g, rate, idx, bound)
+                    assert variable_eliminate(g, rate, idx) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -409,7 +408,8 @@ class TestVariableEliminateEngine:
         level = log.level
         log.setLevel(logging.INFO)
         try:
-            out = variable_eliminate(formula, rate, seed, resolvent_bound_factor=bound)
+            with mock.patch.object(lpa, "RESOLVENT_BOUND_FACTOR", bound):
+                out = variable_eliminate(formula, rate, seed)
         finally:
             log.removeHandler(handler)
             log.setLevel(level)

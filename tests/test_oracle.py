@@ -8,7 +8,6 @@ from cnfaug import (
     Label,
     OracleBudgetError,
     SolveResult,
-    SolverConfig,
     apply_chain,
     count_models,
     gen_sr,
@@ -18,6 +17,7 @@ from cnfaug import (
     solve_brute,
     solve_dpll,
 )
+from cnfaug import oracle
 from conftest import formula_of, non_canonical, random_formula, small_formulas
 
 
@@ -37,8 +37,8 @@ def _reference_simplify(clauses, lit):
 
 
 class _ReferenceSearch:
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, max_decisions):
+        self.max_decisions = max_decisions
         self.decisions = 0
         self.propagations = 0
 
@@ -74,9 +74,9 @@ class _ReferenceSearch:
             var = min(polarity)
             for lit in (var, -var):
                 self.decisions += 1
-                if self.decisions > self.config.max_decisions:
+                if self.decisions > self.max_decisions:
                     raise OracleBudgetError(
-                        f"decision budget of {self.config.max_decisions} exhausted"
+                        f"decision budget of {self.max_decisions} exhausted"
                     )
                 reduced = _reference_simplify(clauses, lit)
                 if reduced is None:
@@ -89,15 +89,15 @@ class _ReferenceSearch:
             return None
 
 
-def reference_solve_dpll(formula, config=SolverConfig()):
+def reference_solve_dpll(formula, max_decisions=1_000_000, max_vars=200):
     """The DPLL engine on literal tuples that the bitmask search replaced:
     the same unit / pure / branch order, kept to check that every
     ``SolveResult`` (label, model, decisions, propagations) is unchanged."""
-    if formula.num_vars > config.max_vars:
+    if formula.num_vars > max_vars:
         raise ValueError(
-            f"{formula.num_vars} variables exceeds the configured limit {config.max_vars}"
+            f"{formula.num_vars} variables exceeds the configured limit {max_vars}"
         )
-    search = _ReferenceSearch(config)
+    search = _ReferenceSearch(max_decisions)
     found = search.run([tuple(c) for c in formula.clauses], {})
     if found is None:
         return SolveResult(Label.UNSAT, None, search.decisions, search.propagations)
@@ -153,9 +153,12 @@ def test_brute_limit():
         solve_brute(Formula(25, ()))
 
 
-def test_var_limit():
+def test_var_limit(monkeypatch):
+    with pytest.raises(ValueError, match="201 variables exceeds the configured limit 200"):
+        solve_dpll(Formula(201, ()))
+    monkeypatch.setattr(oracle, "MAX_VARS", 4)
     with pytest.raises(ValueError, match="5 variables exceeds the configured limit 4"):
-        solve_dpll(Formula(5, ()), SolverConfig(max_vars=4))
+        solve_dpll(Formula(5, ()))
 
 
 def test_oracles_agree_on_random_formulas(rng):
@@ -221,10 +224,11 @@ def test_determinism():
     assert first == second
 
 
-def test_decision_budget_is_explicit_failure():
+def test_decision_budget_is_explicit_failure(monkeypatch):
     f = formula_of(2, [1, 2], [1, -2], [-1, 2], [-1, -2])
-    with pytest.raises(OracleBudgetError):
-        solve_dpll(f, SolverConfig(max_decisions=0))
+    with monkeypatch.context() as patch, pytest.raises(OracleBudgetError, match="budget of 0 "):
+        patch.setattr(oracle, "MAX_DECISIONS", 0)
+        solve_dpll(f)
     # and a sufficient budget labels it correctly
     assert solve_dpll(f).label is Label.UNSAT
 
@@ -241,9 +245,9 @@ LPA_VIEW = "AU:0.2:{0},CR:0.3:{0},SC"
 LAA_VIEW = "SG:0.3:{0},LP:0.2:{0}"
 
 
-def assert_same_result(formulas, config=SolverConfig()):
+def assert_same_result(formulas):
     for idx, f in enumerate(formulas):
-        assert solve_dpll(f, config) == reference_solve_dpll(f, config), idx
+        assert solve_dpll(f) == reference_solve_dpll(f), idx
 
 
 class TestMaskEngineMatchesReference:
@@ -268,17 +272,17 @@ class TestMaskEngineMatchesReference:
         )
 
     @pytest.mark.parametrize("budget", [0, 1, 3, 10])
-    def test_budget_runs_out_at_the_same_decision(self, rng, sr_corpus, budget):
-        config = SolverConfig(max_decisions=budget)
+    def test_budget_runs_out_at_the_same_decision(self, rng, sr_corpus, budget, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_DECISIONS", budget)
         formulas = [random_formula(rng, max_vars=12) for _ in range(300)]
         for f in formulas + [inst.formula for inst in sr_corpus[:200]]:
             try:
-                expected = reference_solve_dpll(f, config)
+                expected = reference_solve_dpll(f, budget)
             except OracleBudgetError:
                 with pytest.raises(OracleBudgetError):
-                    solve_dpll(f, config)
+                    solve_dpll(f)
             else:
-                assert solve_dpll(f, config) == expected
+                assert solve_dpll(f) == expected
 
     def test_repeated_literals_keep_the_label(self, rng):
         # a repeated literal may change the counts, never the label
