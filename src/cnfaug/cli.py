@@ -139,6 +139,8 @@ def cmd_gen(args) -> int:
             num_vars = int(args.vars)
         if args.count < 1:
             raise ValueError("count must be at least 1")
+        if args.seed < 0:
+            raise ValueError("seed must be non-negative")
         spec = GenSpec(
             family=family,
             num_vars=num_vars,

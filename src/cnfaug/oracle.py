@@ -7,24 +7,21 @@ clause (the literal-bit convention of :mod:`cnfaug.formula`): a conflict is
 an empty mask, a unit a mask with one bit set, the pure and active variables
 come from the OR of all masks, and assigning a literal is one filter and one
 AND over the clause list.  The brute-force routines enumerate all
-assignments (vectorized over bit patterns) and serve as the independent
-oracle for property tests; they are intentionally a separate code path from
-the DPLL search.
+``2**num_vars`` assignments at once, one bit per assignment in a Python
+integer per variable, and serve as the independent oracle for property
+tests; with no search and no propagation, they share no code path with the
+DPLL search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .formula import Formula, Label, clause_mask, polarities, positive_bits
 
 MAX_VARS = 200
 MAX_DECISIONS = 1_000_000
 BRUTE_MAX_VARS = 24
-_CHUNK_BITS = 18  # assignments are enumerated in blocks of 2**_CHUNK_BITS
 
 
 class OracleBudgetError(RuntimeError):
@@ -131,64 +128,46 @@ def solve_dpll(formula: Formula) -> SolveResult:
     return SolveResult(Label.SAT, assignment, search.decisions, search.propagations)
 
 
-@lru_cache(maxsize=8)
-def _bit_table(num_vars: int) -> np.ndarray:
-    """Row v-1 holds variable v's value in each of the 2**num_vars assignments."""
-    idx = np.arange(1 << num_vars, dtype=np.uint32)
-    return np.stack([(idx >> v) & 1 for v in range(num_vars)]).astype(bool)
+def _models(formula: Formula) -> int:
+    """The satisfying assignments as one integer of ``2**num_vars`` bits.
 
-
-def _sat_mask_small(formula: Formula) -> np.ndarray:
-    bits = _bit_table(formula.num_vars)
-    ok = np.ones(1 << formula.num_vars, dtype=bool)
-    for clause in formula.clauses:
-        acc = np.zeros(ok.shape, dtype=bool)
-        for lit in clause:
-            acc |= bits[abs(lit) - 1] if lit > 0 else ~bits[abs(lit) - 1]
-        ok &= acc
-        if not ok.any():
-            break
-    return ok
-
-
-def _count_chunked(formula: Formula, stop_at_first: bool) -> int:
-    total = 0
-    block = 1 << _CHUNK_BITS
-    for start in range(0, 1 << formula.num_vars, block):
-        idx = np.arange(start, start + block, dtype=np.uint64)
-        ok = np.ones(block, dtype=bool)
-        for clause in formula.clauses:
-            acc = np.zeros(block, dtype=bool)
-            for lit in clause:
-                bit = (idx >> np.uint64(abs(lit) - 1)) & np.uint64(1)
-                acc |= (bit != 0) if lit > 0 else (bit == 0)
-            ok &= acc
-            if not ok.any():
-                break
-        total += int(ok.sum())
-        if stop_at_first and total:
-            return total
-    return total
-
-
-def _check_brute_limit(formula: Formula) -> None:
+    Bit ``a`` of variable ``v``'s column is ``v``'s value in assignment
+    ``a``; a clause is the OR of its literals' columns (a negative literal
+    is the complement within ``full``) and the formula the AND of its
+    clauses.
+    """
     if formula.num_vars > BRUTE_MAX_VARS:
         raise ValueError(
             f"exhaustive enumeration is limited to {BRUTE_MAX_VARS} variables"
         )
+    size = 1 << formula.num_vars
+    full = (1 << size) - 1
+    columns = []
+    for v in range(formula.num_vars):
+        half = 1 << v
+        col = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            col |= col << width
+            width <<= 1
+        columns.append(col)
+    models = full
+    for clause in formula.clauses:
+        covered = 0
+        for lit in clause:
+            col = columns[abs(lit) - 1]
+            covered |= col if lit > 0 else full ^ col
+        models &= covered
+        if not models:
+            break
+    return models
 
 
 def solve_brute(formula: Formula) -> Label:
     """Exact label by enumerating all ``2**num_vars`` assignments."""
-    _check_brute_limit(formula)
-    if formula.num_vars <= _CHUNK_BITS:
-        return Label.SAT if _sat_mask_small(formula).any() else Label.UNSAT
-    return Label.SAT if _count_chunked(formula, stop_at_first=True) else Label.UNSAT
+    return Label.SAT if _models(formula) else Label.UNSAT
 
 
 def count_models(formula: Formula) -> int:
     """Exact number of satisfying assignments over the declared variables."""
-    _check_brute_limit(formula)
-    if formula.num_vars <= _CHUNK_BITS:
-        return int(_sat_mask_small(formula).sum())
-    return _count_chunked(formula, stop_at_first=False)
+    return _models(formula).bit_count()

@@ -55,6 +55,13 @@ def test_gen_usage_errors(tmp_path):
     assert main([]) == EXIT_USAGE
 
 
+def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run_gen(out, "--seed", "-1") == EXIT_USAGE
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_determinism_byte_identical(tmp_path):
     out = tmp_path / "corpus"
     assert run_gen(out) == EXIT_OK

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +13,7 @@ from cnfaug import (
     count_models,
     gen_sr,
     parse_chain,
+    parse_dimacs,
     resolve,
     satisfies,
     solve_brute,
@@ -105,6 +107,53 @@ def reference_solve_dpll(formula, max_decisions=1_000_000, max_vars=200):
     return SolveResult(Label.SAT, assignment, search.decisions, search.propagations)
 
 
+def _reference_sat_mask_small(formula):
+    idx = np.arange(1 << formula.num_vars, dtype=np.uint32)
+    bits = np.stack([(idx >> v) & 1 for v in range(formula.num_vars)]).astype(bool)
+    ok = np.ones(1 << formula.num_vars, dtype=bool)
+    for clause in formula.clauses:
+        acc = np.zeros(ok.shape, dtype=bool)
+        for lit in clause:
+            acc |= bits[abs(lit) - 1] if lit > 0 else ~bits[abs(lit) - 1]
+        ok &= acc
+        if not ok.any():
+            break
+    return ok
+
+
+def _reference_count_chunked(formula):
+    total = 0
+    block = 1 << 18
+    for start in range(0, 1 << formula.num_vars, block):
+        idx = np.arange(start, start + block, dtype=np.uint64)
+        ok = np.ones(block, dtype=bool)
+        for clause in formula.clauses:
+            acc = np.zeros(block, dtype=bool)
+            for lit in clause:
+                bit = (idx >> np.uint64(abs(lit) - 1)) & np.uint64(1)
+                acc |= (bit != 0) if lit > 0 else (bit == 0)
+            ok &= acc
+            if not ok.any():
+                break
+        total += int(ok.sum())
+    return total
+
+
+def reference_count_models(formula):
+    """The numpy enumeration that the integer engine replaced: one boolean
+    row per variable up to 18 variables, blocks of 2**18 assignments above.
+    It needs at least one variable."""
+    if formula.num_vars <= 18:
+        return int(_reference_sat_mask_small(formula).sum())
+    return _reference_count_chunked(formula)
+
+
+def assert_matches_reference(formula):
+    expected = reference_count_models(formula)
+    assert count_models(formula) == expected
+    assert solve_brute(formula) is (Label.SAT if expected else Label.UNSAT)
+
+
 def slow_label(f: Formula) -> Label:
     """Independent reference oracle: plain nested-loop enumeration."""
     for bits in itertools.product([False, True], repeat=f.num_vars):
@@ -148,6 +197,21 @@ def test_count_models_trivial_cases():
     assert count_models(formula_of(2, [1, -1])) == 4  # tautology constrains nothing
 
 
+@pytest.mark.parametrize(
+    "formula, label, models",
+    [
+        (Formula(0, ()), Label.SAT, 1),
+        (Formula(0, ((),)), Label.UNSAT, 0),
+        (parse_dimacs("p cnf 0 0\n"), Label.SAT, 1),
+    ],
+    ids=["no-clauses", "empty-clause", "dimacs-header-only"],
+)
+def test_zero_variables(formula, label, models):
+    assert solve_brute(formula) is label
+    assert count_models(formula) == models
+    assert solve_dpll(formula).label is label
+
+
 def test_brute_limit():
     with pytest.raises(ValueError):
         solve_brute(Formula(25, ()))
@@ -184,15 +248,36 @@ def test_count_models_matches_enumeration(rng):
 
 
 def test_enumeration_in_blocks_above_18_variables(rng):
-    # 19 to 24 variables are enumerated in blocks of 2**18 assignments
-    assert count_models(Formula(20, ((1, 2), (-20,), (19, -3)))) == 294912
+    # 19 to 24 variables: each variable's column holds 2**19 to 2**24 bits
+    wide = Formula(20, ((1, 2), (-20,), (19, -3)))
+    assert count_models(wide) == 294912
+    assert_matches_reference(wide)
     unsat = formula_of(19, [1, 19], [-1, 19], [2, -19], [-2, -19])
     assert solve_brute(unsat) is Label.UNSAT and count_models(unsat) == 0
+    assert_matches_reference(unsat)
     for _ in range(3):
         f = random_formula(rng, max_vars=6)
         padded = Formula(21, f.clauses)
         assert count_models(padded) == count_models(f) << (21 - f.num_vars)
         assert solve_brute(padded) is solve_brute(f)
+        assert_matches_reference(padded)
+    sat24 = Formula(24, ((1, 24), (-1, -24), (12, -13, 24)))
+    assert solve_brute(sat24) is Label.SAT and count_models(sat24) == 7 << 20
+    assert_matches_reference(sat24)
+    unsat24 = formula_of(24, [1, 24], [-1, 24], [2, -24], [-2, -24])
+    assert solve_brute(unsat24) is Label.UNSAT and count_models(unsat24) == 0
+    assert_matches_reference(unsat24)
+
+
+def test_matches_reference_on_random_formulas(rng):
+    for i in range(1000):
+        assert_matches_reference(random_formula(rng, max_vars=12 if i % 4 else 6))
+
+
+@pytest.mark.parametrize("num_vars", range(13, 25))
+def test_matches_reference_on_padded_formulas(rng, num_vars):
+    f = random_formula(rng, max_vars=8)
+    assert_matches_reference(Formula(num_vars, f.clauses))
 
 
 def test_resolvent_preserves_model_count(rng):
@@ -302,3 +387,9 @@ def test_label_matches_brute_force(formula):
     if res.label is Label.SAT:
         assert len(res.assignment) == formula.num_vars
         assert satisfies(formula, res.assignment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_formulas())
+def test_brute_force_matches_reference(formula):
+    assert_matches_reference(formula)
