@@ -10,7 +10,6 @@ from cnfaug import (
     Formula,
     add_unit_literal,
     clause_resolution,
-    make_clause,
     parse_dimacs,
     pure_literal_eliminate,
     serialize_dimacs,
@@ -74,5 +73,5 @@ print("every transformed formula keeps the original label:",
       solve_dpll(f).label.value)
 
 print()
-print("DIMACS round trip:")
-print(serialize_dimacs(Formula(4, (make_clause([2, 1, -3]),))), end="")
+print("DIMACS round trip (the constructor sorts each clause):")
+print(serialize_dimacs(Formula(4, ((2, 1, -3),))), end="")

@@ -14,14 +14,13 @@ from cnfaug import (
     graph_from_json,
     graph_to_json,
     literal_node,
-    make_clause,
     node_literal,
     to_formula,
     Formula,
 )
 
 # (x | -y | -z) & (-x | y | z)
-f = Formula(3, (make_clause([1, -2, -3]), make_clause([-1, 2, 3])))
+f = Formula(3, ((1, -2, -3), (-1, 2, 3)))
 print("formula:", f.clauses)
 
 g = build_lig(f, plus=True)

@@ -63,8 +63,7 @@ def make_clause(literals: Iterable[int]) -> Clause:
 
 
 def clause_mask(clause: Clause) -> int:
-    """The clause as a literal bitmask (see the module docstring); repeated
-    literals collapse, so non-canonical tuples map like their canonical form."""
+    """The clause as a literal bitmask (see the module docstring)."""
     mask = 0
     for lit in clause:
         mask |= 1 << (2 * lit - 2 if lit > 0 else -2 * lit - 1)
@@ -105,35 +104,44 @@ def is_tautology(clause: Clause) -> bool:
 class Formula:
     """An immutable CNF formula: a declared variable count plus clauses.
 
-    Clause tuples are stored as given (use :func:`canonicalize` to normalize
-    every clause); literals must reference variables in ``1..num_vars``.
+    Literals must reference variables in ``1..num_vars``.  Every clause is
+    stored canonical, as :func:`make_clause` builds it, so formulas that
+    differ only in literal order or repeated literals are equal.
     """
 
     num_vars: int
     clauses: tuple[Clause, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
+        top = 2 * self.num_vars + 1
+        clauses = []
         for clause in self.clauses:
+            clause = tuple(clause)
+            # kept as given when the keys 2|l| + (l < 0) strictly increase
+            # from 2 up to at most ``top``: sorted, distinct and in range
+            prev = 1
+            for lit in clause:
+                key = 2 * lit if lit > 0 else 1 - 2 * lit
+                if key <= prev:
+                    break
+                prev = key
+            else:
+                if prev <= top:
+                    clauses.append(clause)
+                    continue
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(
                         f"literal {lit} out of range for {self.num_vars} variables"
                     )
+            clauses.append(make_clause(clause))
+        object.__setattr__(self, "clauses", tuple(clauses))
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-def canonicalize(formula: Formula) -> Formula:
-    """Normalize every clause (sort + dedupe literals); clause order is kept.
-
-    Idempotent, and the satisfying-assignment set is unchanged.
-    """
-    return Formula(formula.num_vars, tuple(make_clause(c) for c in formula.clauses))
 
 
 def satisfies(formula: Formula, assignment: Mapping[int, bool]) -> bool:
@@ -187,7 +195,7 @@ def parse_dimacs(text: str) -> Formula:
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: non-integer token {token!r}") from exc
             if lit == 0:
-                clauses.append(make_clause(current))
+                clauses.append(tuple(current))
                 current = []
             else:
                 if abs(lit) > num_vars:
@@ -210,10 +218,7 @@ def parse_dimacs(text: str) -> Formula:
 
 
 def serialize_dimacs(formula: Formula) -> str:
-    """Render a formula as DIMACS CNF text.
-
-    ``parse_dimacs(serialize_dimacs(f))`` equals ``f`` for canonical ``f``.
-    """
+    """Render a formula as DIMACS CNF text; :func:`parse_dimacs` inverts it."""
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     for clause in formula.clauses:
         body = " ".join(str(lit) for lit in clause)

@@ -73,8 +73,10 @@ class GenSpec:
             return
         if isinstance(self.num_vars, tuple):
             raise ValueError(f"{self.family.value} takes a fixed variable count")
-        if self.num_clauses is None or self.num_clauses < 0:
+        if self.num_clauses is None:
             raise ValueError("num_clauses is required")
+        if self.num_clauses < 0:
+            raise ValueError("num_clauses must be non-negative")
         if self.clause_len is None or not 1 <= self.clause_len <= self.num_vars:
             raise ValueError("clause_len must lie in [1, num_vars]")
         if self.family is GenFamily.PR:
@@ -134,9 +136,7 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     unsat_formula = Formula(n, tuple(clauses))
     final = clauses[-1]
     flip_at = int(rng.integers(len(final)))
-    flipped = make_clause(
-        -lit if i == flip_at else lit for i, lit in enumerate(final)
-    )
+    flipped = tuple(-lit if i == flip_at else lit for i, lit in enumerate(final))
     sat_formula = Formula(n, tuple(clauses[:-1]) + (flipped,))
 
     if solve_dpll(sat_formula).label is not Label.SAT:
@@ -153,12 +153,14 @@ def _random_ksat(
 ) -> LabeledInstance:
     """Random k-SAT instance with an oracle-assigned label: each clause takes
     its variables from ``draw(rng)`` and a fair-coin polarity for each."""
+    if num_clauses < 0:
+        raise ValueError("num_clauses must be non-negative")
     rng = seeded_rng(seed)
     clauses = []
     for _ in range(num_clauses):
         variables = draw(rng)
         flips = rng.integers(2, size=clause_len)
-        clauses.append(make_clause(int(-v if neg else v) for v, neg in zip(variables, flips)))
+        clauses.append([int(-v if neg else v) for v, neg in zip(variables, flips)])
     formula = Formula(num_vars, tuple(clauses))
     label = solve_dpll(formula).label
     meta = {"family": family.value, "seed": seed, "num_vars": num_vars,

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import IO
 
-from .formula import Formula, make_clause
+from .formula import Formula
 
 SCHEMA_VERSION = 1
 SCHEMA_NAME = "cnfaug.graph"
@@ -91,9 +91,9 @@ def build_lig(formula: Formula, plus: bool = True) -> LigGraph:
 def to_formula(graph: LigGraph) -> Formula:
     """Reconstruct the formula whose incidence graph this is.
 
-    Inverse of :func:`build_lig` for canonical formulas (clause order is
-    preserved through the clause indices).  Raises ``ValueError`` on edges
-    pointing outside the declared node ranges.
+    Inverse of :func:`build_lig` (clause order is preserved through the
+    clause indices).  Raises ``ValueError`` on edges pointing outside the
+    declared node ranges.
     """
     buckets: list[list[int]] = [[] for _ in range(graph.num_clauses)]
     for lit_idx, clause_idx in graph.cl_edges:
@@ -102,7 +102,7 @@ def to_formula(graph: LigGraph) -> Formula:
         if not 0 <= clause_idx < graph.num_clauses:
             raise ValueError(f"dangling clause index {clause_idx}")
         buckets[clause_idx].append(node_literal(lit_idx))
-    return Formula(graph.num_vars, tuple(make_clause(b) for b in buckets))
+    return Formula(graph.num_vars, tuple(map(tuple, buckets)))
 
 
 def graph_to_json(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .formula import Clause, Formula, literal_key, make_clause
+from .formula import Clause, Formula, literal_key
 from .graph import build_lig
 from .lpa import _ceil_count, seeded_rng
 
@@ -127,9 +127,7 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     for ci, clause in enumerate(formula.clauses):
         if offset + ci not in visited:
             continue
-        reduced = make_clause(
-            lit for lit in clause if 2 * (abs(lit) - 1) + (lit < 0) in visited
-        )
+        reduced = tuple(lit for lit in clause if 2 * (abs(lit) - 1) + (lit < 0) in visited)
         if reduced:
             kept.append(reduced)
     return Formula(formula.num_vars, tuple(kept))

@@ -103,7 +103,7 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
 
     targets = set(rng.choice(m, size=count, replace=False).tolist()) if count else set()
     body = [
-        make_clause(clause + (-lit,)) if i in targets else clause
+        clause + (-lit,) if i in targets else clause
         for i, clause in enumerate(formula.clauses)
     ]
 
@@ -115,9 +115,9 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
             chosen = rng.choice(formula.num_vars, size=width, replace=False) + 1
             flips = rng.integers(2, size=width)
             lits += [int(-v if neg else v) for v, neg in zip(chosen, flips)]
-        extras.append(make_clause(lits))
+        extras.append(tuple(lits))
 
-    return Formula(fresh, (make_clause([lit]),) + tuple(body) + tuple(extras))
+    return Formula(fresh, ((lit,), *body, *extras))
 
 
 def _pure_variables(formula: Formula) -> list[int]:
@@ -215,10 +215,8 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     are redrawn, within ``MAX_RESOLVE_ATTEMPTS`` draws per requested resolvent.
     When the budget runs out first, fewer resolvents are appended and an
     INFO record gives the count added, the count requested and the budget.
-    Identity when no complementary pair exists.
-
-    Clauses are read as literal sets (a repeated literal is one occurrence)
-    and resolved on their bitmasks, as in :func:`variable_eliminate`.
+    Identity when no complementary pair exists.  Clauses are resolved on
+    their bitmasks, as in :func:`variable_eliminate`.
     """
     target = _ceil_count(rate, formula.num_clauses)
     if target == 0:
@@ -307,9 +305,8 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``, as in the module docstring):
     a resolvent on ``v`` is ``(a ^ p) | (b ^ n)`` for the pivot bits ``p``
     and ``n``, and it is a tautology when ``r & (r >> 1)`` has an even bit
-    set.  Only the chosen variable's resolvents are decoded, and since
-    ascending bit order is ``literal_key`` order they decode to canonical
-    clauses.  Kept clauses stay as given, in place.
+    set.  Only the chosen variable's resolvents are decoded; kept clauses
+    stay in place.
     """
     requested = max(1, _ceil_count(rate, formula.num_vars))
     clauses = list(formula.clauses)

@@ -108,12 +108,6 @@ def solve_dpll(formula: Formula) -> SolveResult:
     lowest-indexed pure variable, else branches on the lowest-indexed active
     variable, true first.  Raises :class:`OracleBudgetError` when the decision
     budget runs out; never returns a wrong label.
-
-    Clauses are read as literal sets (bitmasks), so a hand-built tuple with a
-    repeated literal, such as ``(1, 1)``, is a unit: its label stays exact,
-    but the counts may differ from a search on the literal sequence.
-    Canonical clauses, all that parsing, the generators and the
-    augmentations produce, hold no repeated literal.
     """
     if formula.num_vars > MAX_VARS:
         raise ValueError(

@@ -19,18 +19,18 @@ from cnfaug import (
     make_clause,
     solve_brute,
 )
+from cnfaug.gen import PR10
 
 SR_SEED = 20240811
 UR_SEED = 7
 PR_SEED = 11
 
 UR12 = dict(num_vars=12, num_clauses=51, clause_len=3)
-PR10 = dict(num_vars=10, num_clauses=41, clause_len=3, power_exponent=1.7)
 
 
 def formula_of(num_vars: int, *clauses) -> Formula:
-    """Canonical formula from literal lists."""
-    return Formula(num_vars, tuple(make_clause(c) for c in clauses))
+    """Formula from literal lists."""
+    return Formula(num_vars, clauses)
 
 
 def random_formula(rng: np.random.Generator, max_vars: int = 8) -> Formula:
@@ -52,7 +52,10 @@ def random_formula(rng: np.random.Generator, max_vars: int = 8) -> Formula:
 
 
 def non_canonical(formula: Formula) -> Formula:
-    """Same clauses reversed with a repeated literal, plus two tautologies."""
+    """Same clauses reversed with a repeated literal, plus two tautologies.
+
+    The constructor canonicalizes the raw clauses, so the function under test
+    sees the input's clauses followed by two canonical tautologies."""
     clauses = tuple(tuple(reversed(c)) + c[:1] for c in formula.clauses)
     clauses += tuple((c[0], -c[0]) + c for c in formula.clauses[:2] if c)
     return Formula(formula.num_vars, clauses)
@@ -60,8 +63,9 @@ def non_canonical(formula: Formula) -> Formula:
 
 @st.composite
 def small_formulas(draw):
-    """Up to 7 variables; clauses may be unsorted, repeat literals, be
-    tautologies, repeat each other or be empty."""
+    """Up to 7 variables; clauses may be tautologies, repeat each other or be
+    empty.  Raw clauses are drawn unsorted and with repeated literals, and the
+    constructor canonicalizes them before the function under test sees them."""
     num_vars = draw(st.integers(1, 7))
     literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=3 * num_vars))

@@ -62,6 +62,14 @@ def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_negative_clause_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    argv = ["gen", "--family", "ur", "--vars", "12", "--clauses", "-1", "--k", "3", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "error: num_clauses must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_determinism_byte_identical(tmp_path):
     out = tmp_path / "corpus"
     assert run_gen(out) == EXIT_OK

@@ -1,13 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfaug import (
     DimacsError,
     DimacsWarning,
     Formula,
-    canonicalize,
-    count_models,
     is_tautology,
     make_clause,
     parse_dimacs,
@@ -15,6 +16,88 @@ from cnfaug import (
     serialize_dimacs,
 )
 from conftest import formula_of, random_formula, small_formulas
+
+
+def reference_formula_clauses(num_vars, clauses):
+    """The constructor from before clauses were canonical by construction
+    (range checks over the clauses as given), followed by :func:`make_clause`
+    on each clause: the clauses the constructor must now store."""
+    clauses = tuple(tuple(c) for c in clauses)
+    if num_vars < 0:
+        raise ValueError("num_vars must be non-negative")
+    for clause in clauses:
+        for lit in clause:
+            if lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} out of range for {num_vars} variables")
+    return tuple(make_clause(c) for c in clauses)
+
+
+def reference_parse_dimacs(text):
+    """The parser from before clauses were canonical by construction: it
+    canonicalizes each clause with :func:`make_clause` itself."""
+    num_vars = None
+    declared_clauses = 0
+    clauses = []
+    current = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError(f"line {lineno}: duplicate problem header")
+            fields = line.split()
+            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            try:
+                num_vars = int(fields[2])
+                declared_clauses = int(fields[3])
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
+            if num_vars < 0 or declared_clauses < 0:
+                raise DimacsError(f"line {lineno}: negative counts in header")
+            continue
+        if num_vars is None:
+            raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
+        for token in line.split():
+            try:
+                lit = int(token)
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: non-integer token {token!r}") from exc
+            if lit == 0:
+                clauses.append(make_clause(current))
+                current = []
+            else:
+                if abs(lit) > num_vars:
+                    raise DimacsError(
+                        f"line {lineno}: literal {lit} exceeds declared {num_vars} variables"
+                    )
+                current.append(lit)
+
+    if num_vars is None:
+        raise DimacsError("missing 'p cnf' header")
+    if current:
+        raise DimacsError("last clause is missing its terminating 0")
+    if len(clauses) != declared_clauses:
+        warnings.warn(
+            f"header declares {declared_clauses} clauses but {len(clauses)} were read",
+            DimacsWarning,
+            stacklevel=2,
+        )
+    return Formula(num_vars, tuple(clauses))
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or its exception's type and message, with the
+    category and message of every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 def test_make_clause_sorts_and_dedupes():
@@ -36,6 +119,27 @@ def test_formula_validates_literal_range():
         Formula(2, ((1, 3),))
     with pytest.raises(ValueError):
         Formula(-1, ())
+
+
+def test_constructor_sorts_and_dedupes_each_clause():
+    assert Formula(2, ((2, 1, 1),)).clauses == ((1, 2),)
+    assert Formula(2, [[-2, 1, 2], []]).clauses == ((1, 2, -2), ())
+
+
+def test_formulas_differing_in_literal_order_or_repeats_are_equal():
+    assert Formula(3, ((3, -1, 1, 3), (2,))) == Formula(3, ((1, -1, 3), (2, 2)))
+    assert Formula(3, ((3, 1),)) != Formula(3, ((1, -3),))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(-2, 6),
+    st.lists(st.lists(st.integers(-8, 8), max_size=5), max_size=6),
+)
+def test_constructor_matches_reference(num_vars, clauses):
+    expected, _ = outcome(reference_formula_clauses, num_vars, clauses)
+    got, _ = outcome(Formula, num_vars, clauses)
+    assert (got.clauses if isinstance(got, Formula) else got) == expected
 
 
 def test_parse_simple():
@@ -89,24 +193,21 @@ def test_round_trip_on_generated_corpus(sr_corpus):
         assert parse_dimacs(serialize_dimacs(inst.formula)) == inst.formula
 
 
-def test_canonicalize_examples():
-    f = Formula(2, ((2, 1, 1),))
-    assert canonicalize(f).clauses == ((1, 2),)
+def test_constructor_examples():
     g = formula_of(3, [1, 2], [3])
-    assert canonicalize(g) == g
+    assert g.clauses == ((1, 2), (3,))
+    assert Formula(g.num_vars, g.clauses) == g
 
 
-def test_canonicalize_idempotent_and_model_preserving(rng):
+def test_constructor_ignores_literal_order(rng):
     for _ in range(500):
         f = random_formula(rng)
         shuffled = Formula(
             f.num_vars,
             tuple(tuple(rng.permutation(np.array(c, dtype=int)).tolist()) if c else c for c in f.clauses),
         )
-        once = canonicalize(shuffled)
-        assert canonicalize(once) == once
-        assert count_models(once) == count_models(shuffled)
-        for clause in once.clauses:
+        assert shuffled == f
+        for clause in shuffled.clauses:
             assert clause == make_clause(clause)
 
 
@@ -119,5 +220,44 @@ def test_satisfies_partial_assignment():
 @settings(max_examples=300, deadline=None)
 @given(small_formulas())
 def test_parse_of_serialize_is_identity_on_canonical_formulas(formula):
-    canonical = canonicalize(formula)
-    assert parse_dimacs(serialize_dimacs(canonical)) == canonical
+    assert parse_dimacs(serialize_dimacs(formula)) == formula
+
+
+def test_dimacs_warning_points_at_the_caller():
+    with pytest.warns(DimacsWarning) as record:
+        parse_dimacs("p cnf 2 5\n1 -2 0")
+    assert record[0].filename == __file__
+
+
+_odd_line = st.one_of(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda t: f"p cnf {t[0]} {t[1]}"),
+    st.lists(st.sampled_from(["1", "-2", "0", "x", "1.5", "+2", "--1", "-0"]), max_size=5).map("\t".join),
+    st.sampled_from(["p", "p cnf 3", "p dnf 3 2", "p cnf x 2", "p cnf -1 2"]),
+)
+
+
+@st.composite
+def dimacs_like_text(draw):
+    """Mostly a header, then comments, blank lines and clause lines with
+    unsorted, repeated or (rarely) out-of-range literals; sometimes no
+    header, one odd line (a late header, bad tokens), no final 0 or a
+    clause count the header disagrees with."""
+    num_vars = draw(st.integers(0, 7))
+    literal = st.integers(-num_vars - 1, num_vars + 1).filter(bool).map(str)
+    clause_line = st.tuples(st.lists(literal, max_size=5), st.sampled_from(["0", "", "0 -1 0"]))
+    body_line = st.one_of(
+        clause_line.map(lambda t: " ".join(t[0] + [t[1]])),
+        st.sampled_from(["", "   ", "c", "c comment 1 2 0", "0"]),
+    )
+    lines = draw(st.lists(body_line, max_size=10))
+    if draw(st.integers(0, 3)) == 3:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_odd_line))
+    if draw(st.integers(0, 7)) != 7:
+        lines.insert(0, f"p cnf {num_vars} {draw(st.integers(0, 7))}")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(dimacs_like_text())
+def test_parse_matches_reference(text):
+    assert outcome(parse_dimacs, text) == outcome(reference_parse_dimacs, text)

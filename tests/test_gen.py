@@ -140,6 +140,19 @@ def test_spec_validation():
         GenSpec(GenFamily.SR, 1)
 
 
+def test_negative_clause_counts_are_refused():
+    for make in (
+        lambda: gen_ur(12, -1, 3, 0),
+        lambda: gen_pr(10, -3, 3, 1.7, 0),
+        lambda: GenSpec(GenFamily.UR, 12, num_clauses=-1, clause_len=3),
+        lambda: GenSpec(GenFamily.PR, 10, num_clauses=-3, clause_len=3, power_exponent=1.7),
+    ):
+        with pytest.raises(ValueError, match="^num_clauses must be non-negative$"):
+            make()
+    with pytest.raises(ValueError, match="^num_clauses is required$"):
+        GenSpec(GenFamily.UR, 12, clause_len=3)
+
+
 class TestSr:
     def test_pair_differs_in_exactly_one_literal(self):
         for seed in range(30):

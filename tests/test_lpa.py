@@ -73,6 +73,10 @@ class TestUnitPropagate:
     def test_label_preserved(self, labeled_sample):
         brute_preserved(unit_propagate, *labeled_sample)
 
+    def test_repeated_literal_clause_is_a_unit(self):
+        # (1, 1) is stored as (1,), so UP and DPLL agree on what a unit is
+        assert unit_propagate(Formula(2, ((1, 1), (-1, 2))), 1.0, 0) == Formula(2, ((2,),))
+
 
 class TestAddUnitLiteral:
     def test_golden_pinned_seed(self):
