@@ -11,12 +11,11 @@ would be trained on.
 import numpy as np
 
 from cnfaug import (
-    ContrastiveConfig,
     GenFamily,
     GenSpec,
+    apply_chain,
     cosine_sim,
     gen_corpus,
-    make_pair,
     nt_xent,
     parse_chain,
 )
@@ -41,7 +40,7 @@ def featurize(formula, dim=16, projection=rng.normal(size=(40, 16))):
 
 views = []
 for formula in instances[:8]:
-    v1, v2 = make_pair(formula, chain_a, chain_b)
+    v1, v2 = apply_chain(formula, chain_a), apply_chain(formula, chain_b)
     views.extend([featurize(v1), featurize(v2)])
 batch = np.stack(views)
 
@@ -50,12 +49,11 @@ print(f"similarity of one true pair:     {cosine_sim(batch[0], batch[1]):+.3f}")
 print(f"similarity of a cross pair:      {cosine_sim(batch[0], batch[5]):+.3f}")
 print()
 
-cfg = ContrastiveConfig(temperature=0.5)
-aligned = nt_xent(batch, cfg)
+aligned = nt_xent(batch, temperature=0.5)
 
 shuffled = batch.copy()
 shuffled[1::2] = batch[np.roll(np.arange(1, batch.shape[0], 2), 1)]
-mismatched = nt_xent(shuffled, cfg)
+mismatched = nt_xent(shuffled, temperature=0.5)
 
 print(f"NT-Xent, true pairs:       {aligned:.4f}")
 print(f"NT-Xent, mismatched pairs: {mismatched:.4f}")

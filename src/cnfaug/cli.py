@@ -29,7 +29,6 @@ from pathlib import Path
 
 from . import __version__
 from .chains import ChainParseError, apply_chain, parse_chain
-from .contrastive import make_pair
 from .formula import Formula, clause_mask, parse_dimacs, serialize_dimacs
 from .gen import GenFamily, GenSpec, append_manifest, gen_corpus, write_corpus
 from .graph import build_lig, export_graph
@@ -155,7 +154,6 @@ def cmd_gen(args) -> int:
     if out.exists() and any(out.iterdir()):
         # checked before generating; write_corpus only refuses names it would write
         raise _UsageError(f"output directory {out} is not empty")
-    out.mkdir(parents=True, exist_ok=True)
     try:
         corpus = gen_corpus(spec, args.count, args.seed)
     except (ValueError, OracleBudgetError) as exc:
@@ -324,7 +322,8 @@ def cmd_pair(args) -> int:
     names = (f"{path.stem}.view1.cnf", f"{path.stem}.view2.cnf")
     _refuse_existing(out, names)
     try:
-        view1, view2 = make_pair(_read_formula(path), chain1, chain2)
+        formula = _read_formula(path)
+        view1, view2 = apply_chain(formula, chain1), apply_chain(formula, chain2)
     except ValueError as exc:
         raise _DataError(f"{path}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)

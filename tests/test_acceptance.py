@@ -50,7 +50,6 @@ import numpy as np
 import pytest
 
 from cnfaug import (
-    ContrastiveConfig,
     Formula,
     Label,
     add_unit_literal,
@@ -195,7 +194,7 @@ def test_5_nt_xent_oracle(rng):
             dim = int(rng.integers(1, 17))
             vectors = rng.normal(size=(2 * pairs, dim))
             temperature = float(rng.uniform(0.1, 2.0))
-            fast = nt_xent(vectors, ContrastiveConfig(temperature))
+            fast = nt_xent(vectors, temperature=temperature)
             assert abs(fast - naive_nt_xent(vectors, temperature)) < 1e-9
         assert nt_xent(np.array([[2.0, 1.0], [-1.0, 0.5]])) == 0.0
         four_identical = np.tile(np.array([[0.4, -1.0, 2.0]]), (4, 1))

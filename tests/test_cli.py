@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cnfaug
-from cnfaug import parse_dimacs, serialize_dimacs
+from cnfaug import apply_chain, parse_chain, parse_dimacs, serialize_dimacs
 from cnfaug.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from conftest import formula_of
 
@@ -92,9 +92,11 @@ def test_gen_refuses_a_non_empty_output_directory(tmp_path, capsys):
 
 
 def test_gen_dpll_variable_limit_is_data_error(tmp_path, capsys):
+    out = tmp_path / "wide"
     code = main(["gen", "--family", "ur", "--vars", "201", "--clauses", "5", "--k", "3",
-                 "--count", "1", "--out", str(tmp_path / "wide")])
+                 "--count", "1", "--out", str(out)])
     assert code == EXIT_DATA
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "201 variables" in err
 
@@ -106,7 +108,9 @@ def test_gen_oracle_budget_is_data_error(tmp_path, capsys, monkeypatch):
         raise OracleBudgetError("decision budget of 0 exhausted")
 
     monkeypatch.setattr(gen, "solve_dpll", exhausted)
-    assert run_gen(tmp_path / "c") == EXIT_DATA
+    out = tmp_path / "c"
+    assert run_gen(out) == EXIT_DATA
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget" in err
 
@@ -443,6 +447,18 @@ def test_pair_command(tmp_path):
                  "--chain2", "CR:0.2:11,SC", "--out", str(out)])
     assert code == EXIT_OK
     assert len(sorted(out.glob("*.cnf"))) == 2
+    formula = parse_dimacs(one.read_text())
+    for k, chain in ((1, "VE:0.1:7,SC"), (2, "CR:0.2:11,SC")):
+        view = out / f"{one.stem}.view{k}.cnf"
+        assert view.read_text() == serialize_dimacs(apply_chain(formula, parse_chain(chain)))
+    lines = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    assert lines[0]["command"] == "pair"
+    assert lines[1:] == [
+        {"type": "instance", "input": str(one), "chain": "VE:0.1:7,SC",
+         "output": f"{one.stem}.view1.cnf", "status": "ok"},
+        {"type": "instance", "input": str(one), "chain": "CR:0.2:11,SC",
+         "output": f"{one.stem}.view2.cnf", "status": "ok"},
+    ]
 
 
 @pytest.mark.parametrize(

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cnfaug import (
-    ContrastiveConfig,
-    EmbeddingBatch,
-    cosine_sim,
-    make_pair,
-    nt_xent,
-    parse_chain,
-    solve_brute,
-)
+from cnfaug import apply_chain, cosine_sim, nt_xent, parse_chain, solve_brute
 
 
 def naive_nt_xent(vectors, temperature):
@@ -61,17 +53,43 @@ def test_cosine_zero_norm_rejected():
         cosine_sim([0.0, 0.0], [1.0, 0.0])
 
 
-def test_batch_validation():
-    with pytest.raises(ValueError):
-        EmbeddingBatch(np.zeros((3, 2)))  # odd
-    with pytest.raises(ValueError):
-        EmbeddingBatch(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        EmbeddingBatch(np.array([1.0, 2.0]))  # 1-D
-    with pytest.raises(ValueError):
-        EmbeddingBatch(np.array([[np.inf, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        ContrastiveConfig(temperature=0.0)
+def test_cosine_non_finite_norm_rejected():
+    with pytest.raises(ValueError, match="non-finite norm"):
+        cosine_sim([np.nan, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite norm"):
+        cosine_sim([1e200, 1e200], [1.0, 0.0])  # finite entries, norm overflows
+
+
+@pytest.mark.parametrize(
+    "vectors, temperature, message",
+    [
+        (np.zeros((3, 2)), 0.5, "batch size must be even and at least 2"),
+        (np.zeros((0, 2)), 0.5, "batch size must be even and at least 2"),
+        (np.array([1.0, 2.0]), 0.5, "expected a 2-D array of row vectors"),
+        (np.zeros((2, 0)), 0.5, "embedding dimension must be at least 1"),
+        (np.array([[np.inf, 1.0], [0.0, 1.0]]), 0.5, "embeddings must be finite"),
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), 0.5, "embeddings must be finite"),
+        (np.ones((2, 2)), 0.0, "temperature must be positive"),
+        (np.ones((2, 2)), -1.0, "temperature must be positive"),
+        (np.ones((2, 2)), float("nan"), "temperature must be positive"),
+    ],
+    ids=["odd", "empty", "1-D", "no-dims", "inf", "nan", "temperature-0", "temperature-neg",
+         "temperature-nan"],
+)
+def test_batch_validation(vectors, temperature, message):
+    with pytest.raises(ValueError) as info:
+        nt_xent(vectors, temperature=temperature)
+    assert str(info.value) == message
+
+
+def test_overflowing_norms_rejected():
+    # cosine loss does not depend on scale: these rows, divided by 1e200,
+    # give ln(1 + 2*exp(-2)); with overflowed norms the rows become zeros
+    batch = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    assert nt_xent(batch) == pytest.approx(math.log(1.0 + 2.0 * math.exp(-2.0)), abs=1e-12)
+    with pytest.raises(ValueError) as info:
+        nt_xent(batch * 1e200)
+    assert str(info.value) == "cosine similarity is undefined for vectors of non-finite norm"
 
 
 def test_single_pair_loss_is_exactly_zero():
@@ -89,7 +107,7 @@ def test_orthogonal_negatives_closed_form():
     # loss = ln(1 + 2*exp(-2)) at temperature 0.5
     batch = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     expected = math.log(1.0 + 2.0 * math.exp(-2.0))
-    assert nt_xent(batch, ContrastiveConfig(0.5)) == pytest.approx(expected, abs=1e-12)
+    assert nt_xent(batch, temperature=0.5) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.2395448, abs=1e-6)
 
 
@@ -99,7 +117,7 @@ def test_matches_naive_double_loop(rng):
         dim = int(rng.integers(1, 17))
         vectors = rng.normal(size=(2 * pairs, dim))
         temperature = float(rng.uniform(0.1, 2.0))
-        fast = nt_xent(vectors, ContrastiveConfig(temperature))
+        fast = nt_xent(vectors, temperature=temperature)
         slow = naive_nt_xent(vectors, temperature)
         assert abs(fast - slow) < 1e-9
 
@@ -110,7 +128,7 @@ def test_bit_equal_to_row_loop(rng):
         dim = int(rng.integers(1, 65))
         vectors = rng.normal(size=(2 * pairs, dim))
         for temperature in (0.1, 0.5, 1.0):
-            assert nt_xent(vectors, ContrastiveConfig(temperature)) == reference_nt_xent(vectors, temperature)
+            assert nt_xent(vectors, temperature=temperature) == reference_nt_xent(vectors, temperature)
 
 
 def test_pair_permutation_equivariance(rng):
@@ -130,8 +148,9 @@ def test_scale_invariance(rng):
 
 def test_zero_norm_vector_rejected():
     batch = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         nt_xent(batch)
+    assert str(info.value) == "cosine similarity is undefined for zero-norm vectors"
 
 
 def test_loss_grows_as_negatives_align():
@@ -150,21 +169,21 @@ def test_make_pair_with_lpa_chains_keeps_label(sr_corpus):
     chain1 = parse_chain("VE:0.1:7,SC")
     chain2 = parse_chain("CR:0.2:11,SC")
     for inst in sr_corpus[:60]:
-        view1, view2 = make_pair(inst.formula, chain1, chain2)
+        view1, view2 = apply_chain(inst.formula, chain1), apply_chain(inst.formula, chain2)
         assert solve_brute(view1) is inst.label
         assert solve_brute(view2) is inst.label
 
 
 def test_make_pair_empty_chains_identity(sr_corpus):
     f = sr_corpus[0].formula
-    assert make_pair(f, (), ()) == (f, f)
+    assert apply_chain(f, ()) == f
 
 
 def test_make_pair_deletion_and_resolution_views():
     from conftest import formula_of
 
     f = formula_of(4, [1], [2, 3], [1, -3, 4], [-1, 2, 3, -4])
-    up_view, cr_view = make_pair(f, parse_chain("UP:1:0"), parse_chain("CR:0.25:1"))
+    up_view, cr_view = apply_chain(f, parse_chain("UP:1:0")), apply_chain(f, parse_chain("CR:0.25:1"))
     assert up_view == formula_of(4, [2, 3], [2, 3, -4])
     assert cr_view == formula_of(4, [1], [2, 3], [1, -3, 4], [-1, 2, 3, -4], [1, 2, 4])
     assert solve_brute(up_view) is solve_brute(f)
