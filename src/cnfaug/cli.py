@@ -72,20 +72,6 @@ def _refuse_existing(out: Path, names) -> None:
         raise _UsageError(f"{out / used} already exists")
 
 
-def _output_names(inputs: list[Path], output_name, out: Path) -> dict[Path, str]:
-    """Each input's output file name in ``out``; two inputs that would write
-    one file, or a file that already exists, are a usage error raised before
-    anything is written."""
-    owners: dict[str, Path] = {}
-    for path in inputs:
-        name = output_name(path)
-        if name in owners:
-            raise _UsageError(f"inputs {owners[name]} and {path} both map to output {name}")
-        owners[name] = path
-    _refuse_existing(out, owners)
-    return {path: name for name, path in owners.items()}
-
-
 def _run_header(command: str, argv: list[str], seed: int | None = None) -> dict:
     return {"command": command, "argv": argv, "seed": seed, "version": __version__}
 
@@ -128,6 +114,35 @@ def _each_file(paths: list[Path], work, **fields) -> tuple[list[dict], int]:
     return records, code
 
 
+def _write_each(args, output_name, write, noun: str, **fields) -> int:
+    """The run shared by ``augment`` and ``export``: ``write(path, target,
+    record)`` turns each ``--input`` file into ``--out``/``output_name(path)``,
+    then the manifest and a summary line follow.  Two inputs that would write
+    one file, or a file that already exists, are a usage error raised before
+    anything is written."""
+    inputs = _expand_inputs(args.input)
+    out = Path(args.out)
+    owners: dict[str, Path] = {}
+    for path in inputs:
+        name = output_name(path)
+        if name in owners:
+            raise _UsageError(f"inputs {owners[name]} and {path} both map to output {name}")
+        owners[name] = path
+    _refuse_existing(out, owners)
+    names = {path: name for name, path in owners.items()}
+    out.mkdir(parents=True, exist_ok=True)
+
+    def work(path: Path, record: dict) -> None:
+        write(path, out / names[path], record)
+        record["output"] = names[path]
+
+    records, code = _each_file(inputs, work, output=None, **fields)
+    append_manifest(out, _run_header(args.command, args._argv), records)
+    failures = sum(1 for r in records if r["status"] == "error")
+    print(f"{args.command}ed {len(records) - failures}/{len(records)} {noun} into {out}")
+    return code
+
+
 def cmd_gen(args) -> int:
     family = GenFamily(args.family.upper())
     try:
@@ -164,34 +179,23 @@ def cmd_gen(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    try:
-        chain = parse_chain(args.chain)
-    except ChainParseError as exc:
-        raise _UsageError(str(exc)) from exc
-    inputs = _expand_inputs(args.input)
-    out = Path(args.out)
-    names = _output_names(inputs, lambda path: path.name, out)
-    out.mkdir(parents=True, exist_ok=True)
+    chain = parse_chain(args.chain)
 
-    def work(path: Path, record: dict) -> None:
+    def write(path: Path, target: Path, record: dict) -> None:
         started = time.perf_counter()
         try:
             formula = _read_formula(path)
             augmented = apply_chain(formula, chain)
             if args.verify:
                 record.update(_solve_both(formula, augmented))
-            (out / names[path]).write_text(serialize_dimacs(augmented), encoding="utf-8")
-            record["output"] = names[path]
+            target.write_text(serialize_dimacs(augmented), encoding="utf-8")
         finally:
             elapsed = round((time.perf_counter() - started) * 1000, 3)
             record["elapsed_ms"] = elapsed if args.timing else None
 
-    records, code = _each_file(inputs, work, chain=args.chain, output=None, label_before=None,
-                               label_after=None, decisions_before=None, decisions_after=None)
-    append_manifest(out, _run_header("augment", args._argv), records)
-    failures = sum(1 for r in records if r["status"] == "error")
-    print(f"augmented {len(records) - failures}/{len(records)} files into {out}")
-    return code
+    return _write_each(args, lambda path: path.name, write, "files", chain=args.chain,
+                       label_before=None, label_after=None,
+                       decisions_before=None, decisions_after=None)
 
 
 def cmd_verify(args) -> int:
@@ -228,10 +232,7 @@ def _subsumed_clause_count(formula: Formula) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        chain = parse_chain(args.chain) if args.chain else None
-    except ChainParseError as exc:
-        raise _UsageError(str(exc)) from exc
+    chain = parse_chain(args.chain) if args.chain else None
     files = sorted(_directory(args.corpus).glob("*.cnf"))
     if not files:
         print(json.dumps({"instances": 0}, indent=2, sort_keys=True))
@@ -290,33 +291,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export(args) -> int:
-    inputs = _expand_inputs(args.input)
-    out = Path(args.out)
-    names = _output_names(inputs, lambda path: path.stem + ".json", out)
-    out.mkdir(parents=True, exist_ok=True)
+    def write(path: Path, target: Path, record: dict) -> None:
+        graph = build_lig(_read_formula(path), plus=not args.no_plus)
+        export_graph(graph, target, source=path.name, chain=None)
 
-    def work(path: Path, record: dict) -> None:
-        export_graph(
-            build_lig(_read_formula(path), plus=not args.no_plus),
-            out / names[path],
-            source=path.name,
-            chain=None,
-        )
-        record["output"] = names[path]
-
-    records, code = _each_file(inputs, work, output=None, plus=not args.no_plus)
-    append_manifest(out, _run_header("export", args._argv), records)
-    failures = sum(1 for r in records if r["status"] == "error")
-    print(f"exported {len(records) - failures}/{len(records)} graphs into {out}")
-    return code
+    return _write_each(args, lambda path: path.stem + ".json", write, "graphs",
+                       plus=not args.no_plus)
 
 
 def cmd_pair(args) -> int:
-    try:
-        chain1 = parse_chain(args.chain1)
-        chain2 = parse_chain(args.chain2)
-    except ChainParseError as exc:
-        raise _UsageError(str(exc)) from exc
+    chain1, chain2 = parse_chain(args.chain1), parse_chain(args.chain2)
     path = Path(args.input)
     out = Path(args.out)
     names = (f"{path.stem}.view1.cnf", f"{path.stem}.view2.cnf")
@@ -400,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ChainParseError) as exc:  # every command parses its chains first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _DataError as exc:

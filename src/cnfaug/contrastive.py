@@ -23,7 +23,8 @@ import numpy as np
 
 def _check_norms(norms: np.ndarray) -> None:
     """Cosine similarity needs every norm positive and finite; a norm that
-    overflows would otherwise turn its vector into zeros."""
+    overflows would otherwise turn its vector into zeros.  Callers compute
+    norms with overflow ignored, as this check reports it."""
     if (norms == 0.0).any():
         raise ValueError("cosine similarity is undefined for zero-norm vectors")
     if not np.isfinite(norms).all():
@@ -34,7 +35,8 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity ``a.b / (|a||b|)``; raises on a zero or non-finite norm."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    with np.errstate(over="ignore"):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
     _check_norms(np.array([na, nb]))
     return float(a @ b / (na * nb))
 
@@ -58,7 +60,8 @@ def nt_xent(vectors: np.ndarray, temperature: float = 0.5) -> float:
         raise ValueError("embedding dimension must be at least 1")
     if not np.isfinite(x).all():
         raise ValueError("embeddings must be finite")
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
     _check_norms(norms)
     unit = x / norms[:, None]
     logits = (unit @ unit.T) / temperature

@@ -20,6 +20,7 @@ seed and the counter ``i``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -53,7 +54,8 @@ class GenFamily(Enum):
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters of one generator family; ``num_vars`` may be an inclusive
-    ``(lo, hi)`` range for SR."""
+    ``(lo, hi)`` range for SR.  The only place generator parameters are
+    checked: ``gen_sr``, ``gen_ur`` and ``gen_pr`` build one too."""
 
     family: GenFamily
     num_vars: int | tuple[int, int]
@@ -82,6 +84,14 @@ class GenSpec:
         if self.family is GenFamily.PR:
             if self.power_exponent is None or self.power_exponent <= 1:
                 raise ValueError("power_exponent must exceed 1")
+            if not math.isfinite(self.power_exponent):
+                raise ValueError("power_exponent must be finite")
+            # gen_pr redraws until a clause has clause_len distinct variables
+            weights = _power_weights(self.num_vars, self.power_exponent)
+            if np.count_nonzero(weights) < self.clause_len:
+                raise ValueError(
+                    "power_exponent leaves fewer than clause_len variables with a non-zero weight"
+                )
 
 
 @dataclass(frozen=True)
@@ -109,13 +119,12 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     falsifies the final clause, hence satisfies the negated literal).  The
     final UNSAT solve and a solve of the twin confirm both labels.
     """
+    GenSpec(GenFamily.SR, num_vars)
     rng = seeded_rng(seed)
     if isinstance(num_vars, tuple):
         n = int(rng.integers(num_vars[0], num_vars[1] + 1))
     else:
         n = num_vars
-    if n < 2:
-        raise ValueError("SR needs at least 2 variables")
 
     clauses: list[tuple[int, ...]] = []
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
@@ -153,8 +162,6 @@ def _random_ksat(
 ) -> LabeledInstance:
     """Random k-SAT instance with an oracle-assigned label: each clause takes
     its variables from ``draw(rng)`` and a fair-coin polarity for each."""
-    if num_clauses < 0:
-        raise ValueError("num_clauses must be non-negative")
     rng = seeded_rng(seed)
     clauses = []
     for _ in range(num_clauses):
@@ -170,8 +177,7 @@ def _random_ksat(
 
 def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
     """Uniform random k-SAT instance with an oracle-assigned label."""
-    if not 1 <= clause_len <= num_vars:
-        raise ValueError("clause_len must lie in [1, num_vars]")
+    GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.choice(num_vars, size=clause_len, replace=False) + 1
@@ -195,10 +201,7 @@ def gen_pr(
 
     Distinct variables per clause are enforced by redrawing duplicates.
     """
-    if not 1 <= clause_len <= num_vars:
-        raise ValueError("clause_len must lie in [1, num_vars]")
-    if power_exponent <= 1:
-        raise ValueError("power_exponent must exceed 1")
+    GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
     weights = _power_weights(num_vars, power_exponent)
 
     def draw(rng: np.random.Generator) -> list[int]:

@@ -70,6 +70,37 @@ def test_gen_negative_clause_count_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_sr_variable_range(tmp_path):
+    out = tmp_path / "sr"
+    assert main(["gen", "--family", "sr", "--vars", "8:11", "--count", "6",
+                 "--seed", "2", "--out", str(out)]) == EXIT_OK
+    files = sorted(out.glob("*.cnf"))
+    sizes = {parse_dimacs(f.read_text()).num_vars for f in files}
+    assert len(files) == 12 and sizes <= set(range(8, 12)) and len(sizes) > 1
+    records = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()[1:]]
+    assert [r["num_vars"] for r in records] == [parse_dimacs(f.read_text()).num_vars for f in files]
+
+
+def test_gen_sr_reversed_range_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "sr"
+    assert main(["gen", "--family", "sr", "--vars", "11:8", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: variable range must satisfy lo <= hi\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exp, message",
+    [("nan", "power_exponent must be finite"), ("inf", "power_exponent must be finite"),
+     ("700", "power_exponent leaves fewer than clause_len variables with a non-zero weight"),
+     ("0.5", "power_exponent must exceed 1")],
+)
+def test_gen_unusable_exponent_is_usage_error(tmp_path, capsys, exp, message):
+    out = tmp_path / "corpus"
+    assert run_gen(out, "--exp", exp) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_determinism_byte_identical(tmp_path):
     out = tmp_path / "corpus"
     assert run_gen(out) == EXIT_OK
@@ -257,6 +288,12 @@ def test_stats_unknown_chain_is_usage_error(tmp_path, capsys):
     assert main(["stats", "--corpus", str(src), "--chain", "BOGUS"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "BOGUS" in err
+
+
+def test_stats_empty_directory(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    assert main(["stats", "--corpus", str(tmp_path / "empty")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"instances": 0}
 
 
 def test_stats_unparsable_file_is_data_error(tmp_path, capsys):
@@ -474,6 +511,17 @@ def test_pair_data_errors_write_nothing(tmp_path, capsys, text, chain, message):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"error: {one}:") and message in err
+
+
+@pytest.mark.parametrize("chain1, chain2", [("SC,QQ:0.5", "SC"), ("SC", "SC,QQ:0.5")])
+def test_pair_unknown_chain_kind_is_usage_error(tmp_path, capsys, chain1, chain2):
+    one = tmp_path / "one.cnf"
+    one.write_text("p cnf 2 1\n1 -2\n")  # unparsable: the chains are checked first
+    out = tmp_path / "views"
+    argv = ["pair", "--input", str(one), "--chain1", chain1, "--chain2", chain2, "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown augmentation kind 'QQ'\n"
+    assert not out.exists()
 
 
 def test_io_error_exit_code(tmp_path):

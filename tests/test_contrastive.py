@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_overflowing_norms_rejected():
     with pytest.raises(ValueError) as info:
         nt_xent(batch * 1e200)
     assert str(info.value) == "cosine similarity is undefined for vectors of non-finite norm"
+
+
+def test_overflowing_norms_raise_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: nt_xent(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]) * 1e200),
+            lambda: cosine_sim([1e200, 1e200], [1.0, 0.0]),
+            lambda: cosine_sim([1.0, 0.0], [1e200, 1e200]),
+        ):
+            with pytest.raises(ValueError, match="^cosine similarity is undefined for vectors of "
+                                                 "non-finite norm$"):
+                call()
 
 
 def test_single_pair_loss_is_exactly_zero():

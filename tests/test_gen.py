@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,37 @@ def test_negative_clause_counts_are_refused():
             make()
     with pytest.raises(ValueError, match="^num_clauses is required$"):
         GenSpec(GenFamily.UR, 12, clause_len=3)
+
+
+# (generator, arguments without the seed, GenSpec's message)
+INVALID_ARGUMENTS = [
+    (gen_sr, (1,), "SR needs at least 2 variables"),
+    (gen_sr, ((1, 5),), "SR needs at least 2 variables"),
+    (gen_sr, ((6, 5),), "variable range must satisfy lo <= hi"),
+    (gen_sr, (0,), "num_vars must be positive"),
+    (gen_ur, (12, -1, 3), "num_clauses must be non-negative"),
+    (gen_ur, (3, 5, 4), "clause_len must lie in [1, num_vars]"),
+    (gen_ur, (3, 5, 0), "clause_len must lie in [1, num_vars]"),
+    (gen_pr, (10, -3, 3, 1.7), "num_clauses must be non-negative"),
+    (gen_pr, (3, 5, 4, 1.7), "clause_len must lie in [1, num_vars]"),
+    (gen_pr, (10, 41, 3, 1.0), "power_exponent must exceed 1"),
+    (gen_pr, (10, 41, 3, -math.inf), "power_exponent must exceed 1"),
+    (gen_pr, (10, 41, 3, math.nan), "power_exponent must be finite"),
+    (gen_pr, (10, 41, 3, math.inf), "power_exponent must be finite"),
+    # 3**-700 underflows to 0: two weighted variables cannot fill a 3-clause
+    (gen_pr, (10, 41, 3, 700.0),
+     "power_exponent leaves fewer than clause_len variables with a non-zero weight"),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, args, message", INVALID_ARGUMENTS,
+    ids=[f"{g.__name__}{args}" for g, args, _ in INVALID_ARGUMENTS],
+)
+def test_generators_raise_gen_spec_messages(generator, args, message):
+    with pytest.raises(ValueError) as info:
+        generator(*args, 0)
+    assert str(info.value) == message
 
 
 class TestSr:
