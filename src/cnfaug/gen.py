@@ -14,7 +14,10 @@ Three families:
 
 All instances are labeled eagerly with the DPLL oracle.  Corpora are
 reproducible: instance ``i`` of a corpus uses a seed derived from the corpus
-seed and the counter ``i``.
+seed and the counter ``i``.  Each instance draws from a PCG64 bit generator
+on that seed: SR through numpy's ``Generator``, UR and PR through the raw
+stream of :class:`cnfaug.lpa._Stream`, which gives the same values as the
+``Generator`` calls it stands in for.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .formula import Formula, Label, make_clause, parse_dimacs, serialize_dimacs
-from .lpa import seeded_rng
+from .lpa import _Stream, seeded_rng
 from .oracle import solve_dpll
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -161,13 +164,12 @@ def _random_ksat(
     family: GenFamily, num_vars: int, num_clauses: int, clause_len: int, seed: int, draw, **params
 ) -> LabeledInstance:
     """Random k-SAT instance with an oracle-assigned label: each clause takes
-    its variables from ``draw(rng)`` and a fair-coin polarity for each."""
-    rng = seeded_rng(seed)
+    its variables from ``draw(stream)`` and a fair-coin polarity for each."""
+    stream = _Stream(seed)
     clauses = []
     for _ in range(num_clauses):
-        variables = draw(rng)
-        flips = rng.integers(2, size=clause_len)
-        clauses.append([int(-v if neg else v) for v, neg in zip(variables, flips)])
+        variables = draw(stream)
+        clauses.append([-v if stream.integers(2) else v for v in variables])
     formula = Formula(num_vars, tuple(clauses))
     label = solve_dpll(formula).label
     meta = {"family": family.value, "seed": seed, "num_vars": num_vars,
@@ -179,8 +181,8 @@ def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> Label
     """Uniform random k-SAT instance with an oracle-assigned label."""
     GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(num_vars, size=clause_len, replace=False) + 1
+    def draw(stream: _Stream) -> list[int]:
+        return [v + 1 for v in stream.sample(num_vars, clause_len)]
 
     return _random_ksat(GenFamily.UR, num_vars, num_clauses, clause_len, seed, draw)
 
@@ -202,12 +204,12 @@ def gen_pr(
     Distinct variables per clause are enforced by redrawing duplicates.
     """
     GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
-    weights = _power_weights(num_vars, power_exponent)
+    cdf = _Stream.cdf(_power_weights(num_vars, power_exponent))
 
-    def draw(rng: np.random.Generator) -> list[int]:
+    def draw(stream: _Stream) -> list[int]:
         chosen: list[int] = []
         while len(chosen) < clause_len:
-            v = int(rng.choice(num_vars, p=weights)) + 1
+            v = stream.pick(cdf) + 1
             if v not in chosen:
                 chosen.append(v)
         return chosen

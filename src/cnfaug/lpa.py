@@ -4,9 +4,12 @@ Each transformation maps a formula to a new formula with the same SAT/UNSAT
 label, parameterized by an intensity ``rate`` in [0, 1] and a seed.  The
 rate is mapped to a step count with ``ceil(rate * base)`` where the base is
 operation-specific (unit clauses for unit propagation, clause count for
-clause additions, variable count for elimination).  All randomness flows
-through a ``numpy`` PCG64 generator seeded per call, so outputs are a pure
-function of (formula, rate, seed).
+clause additions, variable count for elimination).  All randomness comes
+from a PCG64 bit generator seeded per call, so outputs are a pure function of
+(formula, rate, seed).  Clause resolution reads the generator's raw output in
+bulk through :class:`_Stream`, which gives exactly the values of the numpy
+``Generator`` calls it stands in for; the other transformations call the
+``Generator`` of :func:`seeded_rng`.
 
 Variable elimination, clause resolution, subsumption and the pure-variable
 scan work on one integer bitmask per clause, in the literal-bit convention
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -38,8 +42,103 @@ RESOLVENT_BOUND_FACTOR = 2.0
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """The PCG64 generator every seeded function of the package draws from."""
+    """The numpy generator of a seed; :class:`_Stream` gives the values of
+    some of its calls from the same PCG64 output."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+_RAW_BLOCK = 128
+_TWO32 = 1 << 32
+_MASK32 = _TWO32 - 1
+
+
+class _Stream:
+    """The draws of ``seeded_rng(seed)`` for four ``Generator`` calls, read
+    from PCG64's raw 64-bit outputs fetched ``_RAW_BLOCK`` at a time.
+
+    numpy's bounded draws are Lemire's multiply-and-reject method on 32-bit
+    values.  A 32-bit value is the held high half of the last raw output if
+    there is one, else the low half of the next output, whose high half is
+    then held.  A double takes a whole raw output and leaves any held half in
+    place.  The same calls in the same order give the same values as the
+    ``Generator``; per call this skips numpy's dispatch and array overhead.
+    """
+
+    __slots__ = ("_bits", "_raw", "_half")
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.PCG64(seed)
+        self._raw: list[int] = []  # reversed, so pop() yields the next output
+        self._half: int | None = None
+
+    def _refill(self) -> list[int]:
+        self._raw = self._bits.random_raw(_RAW_BLOCK).tolist()[::-1]
+        return self._raw
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        raw = (self._raw or self._refill()).pop()
+        self._half = raw >> 32
+        return raw & _MASK32
+
+    def integers(self, bound: int) -> int:
+        """``Generator.integers(bound)`` for ``1 <= bound <= 2**32``; a bound
+        of 1 consumes nothing."""
+        if not 1 < bound <= _TWO32:
+            if bound == 1:
+                return 0
+            raise ValueError(f"bound must lie in [1, 2**32], got {bound}")
+        m = self._next32() * bound
+        if m & _MASK32 < bound:
+            threshold = _TWO32 % bound
+            while m & _MASK32 < threshold:
+                m = self._next32() * bound
+        return m >> 32
+
+    def random(self) -> float:
+        """``Generator.random()``: the top 53 bits of one raw output."""
+        return ((self._raw or self._refill()).pop() >> 11) * 2.0**-53
+
+    def sample(self, n: int, k: int) -> list[int]:
+        """``Generator.choice(n, k, replace=False)``: Floyd's algorithm, then
+        a shuffle of positions ``k-1 .. 1``.
+
+        numpy takes another algorithm when ``n > 10000 and k > n // 50``;
+        those shapes raise :class:`ValueError`.
+        """
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot sample {k} of {n} without replacement")
+        if n > 10000 and k > n // 50:
+            raise ValueError(
+                f"sampling {k} of {n} without replacement is limited to "
+                "n <= 10000 or k <= n // 50"
+            )
+        chosen: list[int] = []
+        seen: set[int] = set()
+        for j in range(n - k, n):
+            v = self.integers(j + 1)
+            if v in seen:
+                v = j
+            seen.add(v)
+            chosen.append(v)
+        for i in range(k - 1, 0, -1):
+            j = self.integers(i + 1)
+            chosen[i], chosen[j] = chosen[j], chosen[i]
+        return chosen
+
+    @staticmethod
+    def cdf(p: np.ndarray) -> list[float]:
+        """The cumulative table ``Generator.choice(len(p), p=p)`` builds."""
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
+    def pick(self, cdf: list[float]) -> int:
+        """``Generator.choice(len(p), p=p)`` for ``cdf == _Stream.cdf(p)``."""
+        return bisect_right(cdf, self.random())
 
 
 def _ceil_count(rate: float, base: int) -> int:
@@ -216,7 +315,9 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     When the budget runs out first, fewer resolvents are appended and an
     INFO record gives the count added, the count requested and the budget.
     Identity when no complementary pair exists.  Clauses are resolved on
-    their bitmasks, as in :func:`variable_eliminate`.
+    their bitmasks, as in :func:`variable_eliminate`.  Pivots are picked from
+    the weights' cumulative table and clauses by bounded draws, both on a
+    :class:`_Stream`.
     """
     target = _ceil_count(rate, formula.num_clauses)
     if target == 0:
@@ -229,8 +330,9 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
         return formula
     weights = np.array([len(pos) * len(neg) for _, pos, neg in pivots], dtype=float)
     weights /= weights.sum()
+    cdf = _Stream.cdf(weights)
 
-    rng = seeded_rng(seed)
+    stream = _Stream(seed)
     even = positive_bits(formula.num_vars)
     existing = set(masks)
     added: list[int] = []
@@ -238,9 +340,9 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     attempts = 0
     while len(added) < target and attempts < budget:
         attempts += 1
-        pbit, pos, neg = pivots[int(rng.choice(len(pivots), p=weights))]
-        ci = pos[int(rng.integers(len(pos)))]
-        cj = neg[int(rng.integers(len(neg)))]
+        pbit, pos, neg = pivots[stream.pick(cdf)]
+        ci = pos[stream.integers(len(pos))]
+        cj = neg[stream.integers(len(neg))]
         resolvent = (masks[ci] ^ pbit) | (masks[cj] ^ (pbit << 1))
         if resolvent & (resolvent >> 1) & even or resolvent in existing:
             continue

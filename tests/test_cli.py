@@ -132,6 +132,16 @@ def test_gen_dpll_variable_limit_is_data_error(tmp_path, capsys):
     assert err.startswith("error:") and "201 variables" in err
 
 
+def test_gen_ur_outside_the_sampler_is_data_error(tmp_path, capsys):
+    out = tmp_path / "wide"
+    code = main(["gen", "--family", "ur", "--vars", "20000", "--clauses", "1", "--k", "401",
+                 "--count", "1", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampling 401 of 20000 without replacement")
+
+
 def test_gen_oracle_budget_is_data_error(tmp_path, capsys, monkeypatch):
     from cnfaug import OracleBudgetError, gen
 

@@ -23,7 +23,7 @@ from cnfaug import (
     solve_dpll,
     write_corpus,
 )
-from cnfaug.gen import SR_BERNOULLI_P, SR_GEOMETRIC_P
+from cnfaug.gen import PR40, SR_BERNOULLI_P, SR_GEOMETRIC_P
 from conftest import PR10, UR12
 
 
@@ -112,22 +112,41 @@ def reference_gen_pr(num_vars, num_clauses, clause_len, power_exponent, seed):
     return LabeledInstance(formula, label, meta)
 
 
+def reference_seeds(count):
+    """``count`` small seeds, then ``count`` 64-bit ones as corpora derive them."""
+    return [*range(count), *(derive_seed(15, i) for i in range(count))]
+
+
 # (num_vars, num_clauses, clause_len): a stock preset, full-width clauses,
-# no clauses, and one variable
-UR_SHAPES = [(12, 51, 3), (4, 6, 4), (5, 0, 3), (1, 3, 1)]
-PR_SHAPES = [(10, 41, 3, 1.7), (4, 6, 4, 1.7), (5, 0, 3, 2.5), (1, 3, 1, 2.5)]
+# no clauses, one variable, and DPLL's MAX_VARS with narrow and full-width
+# clauses
+UR_SHAPES = [(12, 51, 3), (4, 6, 4), (5, 0, 3), (1, 3, 1), (200, 40, 3), (200, 2, 200)]
+# the same for PR, with the PR40 preset and no full-width clauses at 200
+# variables: filling one by redraws takes some 10**5 draws
+PR_SHAPES = [
+    (10, 41, 3, 1.7), (4, 6, 4, 1.7), (5, 0, 3, 2.5), (1, 3, 1, 2.5),
+    (6, 4, 6, 2.5), (200, 40, 3, 1.7), tuple(PR40.values()),
+]
+# where the numpy reference is slow, fewer seeds
+FEW_SEEDS = {(6, 4, 6, 2.5), (200, 40, 3, 1.7), tuple(PR40.values())}
 
 
 @pytest.mark.parametrize("shape", UR_SHAPES)
 def test_ur_matches_reference(shape):
-    for seed in range(200):
+    for seed in reference_seeds(100):
         assert gen_ur(*shape, seed) == reference_gen_ur(*shape, seed), seed
 
 
 @pytest.mark.parametrize("shape", PR_SHAPES)
 def test_pr_matches_reference(shape):
-    for seed in range(200):
+    for seed in reference_seeds(20 if shape in FEW_SEEDS else 100):
         assert gen_pr(*shape, seed) == reference_gen_pr(*shape, seed), seed
+
+
+def test_ur_refuses_shapes_outside_floyds_sampler():
+    # numpy draws 401 of 20000 by another algorithm, which the stream does not replay
+    with pytest.raises(ValueError, match=r"^sampling 401 of 20000 without replacement"):
+        gen_ur(20000, 1, 401, 0)
 
 
 def test_spec_validation():

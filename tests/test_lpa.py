@@ -25,8 +25,8 @@ from cnfaug import (
     unit_propagate,
     variable_eliminate,
 )
-from cnfaug import lpa
-from cnfaug.lpa import _pure_variables
+from cnfaug import derive_seed, lpa
+from cnfaug.lpa import _pure_variables, _Stream, seeded_rng
 from conftest import formula_of, non_canonical, random_formula, small_formulas
 
 # The four-clause running example used by the deterministic golden tests:
@@ -50,6 +50,74 @@ def brute_preserved(fn, formulas, labels, rates=(0.1, 0.3, 0.5)):
 def labeled_sample(sr_corpus):
     formulas = [inst.formula for inst in sr_corpus[:120]]
     return formulas, [inst.label for inst in sr_corpus[:120]]
+
+
+def _generator_call(rng, call):
+    """The numpy ``Generator`` call that ``_Stream`` stands in for."""
+    name, *args = call
+    if name == "integers":
+        return int(rng.integers(*args))
+    if name == "random":
+        return rng.random()
+    if name == "sample":
+        return rng.choice(*args, replace=False).tolist()
+    (p,) = args
+    return int(rng.choice(len(p), p=p))
+
+
+def _stream_call(stream, call):
+    name, *args = call
+    if name == "pick":
+        return stream.pick(_Stream.cdf(*args))
+    return getattr(stream, name)(*args)
+
+
+def _sample_call(n):
+    return st.tuples(st.just("sample"), st.just(n), st.just(n) | st.integers(0, min(n, 40)))
+
+
+def _normalized(weights):
+    p = np.array(weights)
+    return p / p.sum()
+
+
+STREAM_CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 12, 2**31 + 1, 2**32])),
+    st.just(("random",)),
+    (st.sampled_from([1, 10000]) | st.integers(1, 300)).flatmap(_sample_call),
+    st.lists(st.floats(0, 1, allow_subnormal=False), min_size=1, max_size=12)
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: ("pick", _normalized(w))),
+)
+
+
+class TestStream:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(STREAM_CALLS, max_size=12))
+    def test_matches_generator_call_for_call(self, seed, calls):
+        rng, stream = seeded_rng(seed), _Stream(seed)
+        for call in calls:
+            assert _stream_call(stream, call) == _generator_call(rng, call), call
+        # a lost or reused held 32-bit half shows in the next two draws
+        assert stream.integers(2**32) == int(rng.integers(2**32))
+        assert stream.random() == rng.random()
+
+    def test_sample_shapes_numpy_draws_another_way_are_refused(self):
+        for n, k in [(10001, 201), (20000, 401), (20000, 20000)]:
+            with pytest.raises(ValueError, match=r"limited to n <= 10000 or k <= n // 50$"):
+                _Stream(3).sample(n, k)
+        # the edges of the precondition stay on Floyd's algorithm, as numpy does
+        for n, k in [(10000, 10000), (10001, 200), (20000, 400)]:
+            expected = seeded_rng(3).choice(n, k, replace=False).tolist()
+            assert _Stream(3).sample(n, k) == expected
+
+    def test_out_of_range_arguments_are_refused(self):
+        stream = _Stream(0)
+        for bound in (0, -1, 2**32 + 1):
+            with pytest.raises(ValueError, match="bound must lie in"):
+                stream.integers(bound)
+        with pytest.raises(ValueError, match="cannot sample 4 of 3"):
+            stream.sample(3, 4)
 
 
 class TestUnitPropagate:
@@ -279,6 +347,26 @@ class TestClauseResolutionEngine:
             for rate in self.RATES:
                 expected = reference_clause_resolution(f, rate, idx, attempts)
                 assert clause_resolution(f, rate, idx) == expected
+
+    def test_matches_reference_on_64_bit_seeds(self, rng):
+        for idx in range(150):
+            f = random_formula(rng, max_vars=10)
+            seed = derive_seed(16, idx)
+            for rate in self.RATES:
+                assert clause_resolution(f, rate, seed) == reference_clause_resolution(f, rate, seed)
+
+    # pivot 1 occurs once in each polarity, so its clause draws consume nothing
+    SINGLE_OCCURRENCE = formula_of(3, [1, 2], [-1, 3], [2, 3], [-2, -3])
+    # three new resolvents exist, so rate 1.0 asks for four and runs out of attempts
+    SHORT_RUN = formula_of(3, [1, 2], [-1, 2], [1, 3], [-1, 3])
+
+    def test_matches_reference_on_single_occurrences_and_exhausted_budgets(self):
+        assert clause_resolution(self.SHORT_RUN, 1.0, 0).num_clauses == 7
+        for f in (self.SINGLE_OCCURRENCE, self.SHORT_RUN):
+            for seed in [*range(30), *(derive_seed(17, i) for i in range(30))]:
+                for rate in self.RATES:
+                    expected = reference_clause_resolution(f, rate, seed)
+                    assert clause_resolution(f, rate, seed) == expected, (f, rate, seed)
 
     def test_matches_reference_on_corpora(self, sr_corpus, ur_corpus, pr_corpus):
         sr40 = [inst.formula for seed in range(4) for inst in gen_corpus(GenSpec(GenFamily.SR, 40), 1, seed)]
