@@ -112,11 +112,6 @@ def reference_gen_pr(num_vars, num_clauses, clause_len, power_exponent, seed):
     return LabeledInstance(formula, label, meta)
 
 
-def reference_seeds(count):
-    """``count`` small seeds, then ``count`` 64-bit ones as corpora derive them."""
-    return [*range(count), *(derive_seed(15, i) for i in range(count))]
-
-
 # (num_vars, num_clauses, clause_len): a stock preset, full-width clauses,
 # no clauses, one variable, and DPLL's MAX_VARS with narrow and full-width
 # clauses
@@ -127,19 +122,23 @@ PR_SHAPES = [
     (10, 41, 3, 1.7), (4, 6, 4, 1.7), (5, 0, 3, 2.5), (1, 3, 1, 2.5),
     (6, 4, 6, 2.5), (200, 40, 3, 1.7), tuple(PR40.values()),
 ]
-# where the numpy reference is slow, fewer seeds
-FEW_SEEDS = {(6, 4, 6, 2.5), (200, 40, 3, 1.7), tuple(PR40.values())}
+# small seeds, then 64-bit ones as corpora derive them
+REFERENCE_SEEDS = [*range(200), *(derive_seed(15, i) for i in range(100))]
+# PR shapes whose numpy reference is slow take 20 of each kind
+SLOW_PR_SHAPES = {(6, 4, 6, 2.5), (200, 40, 3, 1.7), tuple(PR40.values())}
 
 
 @pytest.mark.parametrize("shape", UR_SHAPES)
 def test_ur_matches_reference(shape):
-    for seed in reference_seeds(100):
+    for seed in REFERENCE_SEEDS:
         assert gen_ur(*shape, seed) == reference_gen_ur(*shape, seed), seed
 
 
 @pytest.mark.parametrize("shape", PR_SHAPES)
 def test_pr_matches_reference(shape):
-    for seed in reference_seeds(20 if shape in FEW_SEEDS else 100):
+    slow = shape in SLOW_PR_SHAPES
+    seeds = REFERENCE_SEEDS[:20] + REFERENCE_SEEDS[200:220] if slow else REFERENCE_SEEDS
+    for seed in seeds:
         assert gen_pr(*shape, seed) == reference_gen_pr(*shape, seed), seed
 
 
