@@ -20,11 +20,28 @@ from operator import add
 
 import numpy as np
 
+# norms in this range are used as computed: neither their squares' sum nor a
+# product of two of them leaves the normal doubles
+_NORM_LO, _NORM_HI = 2.0**-500, 2.0**500
+
+
+def _in_range(row: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
+    """``row`` and its norm, the row first divided by its largest magnitude
+    when the norm lies outside [_NORM_LO, _NORM_HI].  A zero row, or one
+    with a non-finite entry, is returned as it is."""
+    if _NORM_LO <= norm <= _NORM_HI:
+        return row, norm
+    peak = np.abs(row).max(initial=0.0)
+    if not 0.0 < peak < np.inf:
+        return row, norm
+    row = row / peak
+    return row, np.linalg.norm(row)
+
 
 def _check_norms(norms: np.ndarray) -> None:
-    """Cosine similarity needs every norm positive and finite; a norm that
-    overflows would otherwise turn its vector into zeros.  Callers compute
-    norms with overflow ignored, as this check reports it."""
+    """Cosine similarity needs every norm positive and finite; after
+    :func:`_in_range`, a norm is zero only for a zero vector and non-finite
+    only for a vector with a non-finite entry."""
     if (norms == 0.0).any():
         raise ValueError("cosine similarity is undefined for zero-norm vectors")
     if not np.isfinite(norms).all():
@@ -32,11 +49,14 @@ def _check_norms(norms: np.ndarray) -> None:
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity ``a.b / (|a||b|)``; raises on a zero or non-finite norm."""
+    """Cosine similarity ``a.b / (|a||b|)``; raises on a zero vector or a
+    non-finite entry."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     with np.errstate(over="ignore"):
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    a, na = _in_range(a, na)
+    b, nb = _in_range(b, nb)
     _check_norms(np.array([na, nb]))
     return float(a @ b / (na * nb))
 
@@ -45,9 +65,10 @@ def nt_xent(vectors: np.ndarray, temperature: float = 0.5) -> float:
     """Batch NT-Xent loss of ``2n`` row vectors, averaged over all ordered
     positive pairs; rows ``2k`` and ``2k+1`` are positives of each other.
 
-    Stabilized with max-subtraction inside each row's softmax.  With a
-    single pair the denominator holds only the positive term and the loss
-    is exactly 0.
+    Stabilized with max-subtraction inside each row's softmax.  A row
+    whose norm lies outside [2**-500, 2**500] is divided by its largest
+    magnitude first; other rows are used as given.  With a single pair the
+    denominator holds only the positive term and the loss is exactly 0.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
@@ -62,6 +83,11 @@ def nt_xent(vectors: np.ndarray, temperature: float = 0.5) -> float:
         raise ValueError("embeddings must be finite")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1)
+    outside = np.flatnonzero((norms < _NORM_LO) | (norms > _NORM_HI))
+    if outside.size:
+        x = x.copy()
+        for i in outside:
+            x[i], norms[i] = _in_range(x[i], norms[i])
     _check_norms(norms)
     unit = x / norms[:, None]
     logits = (unit @ unit.T) / temperature

@@ -14,10 +14,8 @@ Three families:
 
 All instances are labeled eagerly with the DPLL oracle.  Corpora are
 reproducible: instance ``i`` of a corpus uses a seed derived from the corpus
-seed and the counter ``i``.  Each instance draws from a PCG64 bit generator
-on that seed: SR through numpy's ``Generator``, UR and PR through the raw
-stream of :class:`cnfaug.lpa._Stream`, which gives the same values as the
-``Generator`` calls it stands in for.
+seed and the counter ``i``, and draws from a :class:`cnfaug._stream.Stream`
+on that seed.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._stream import Stream
 from .formula import Formula, Label, make_clause, parse_dimacs, serialize_dimacs
-from .lpa import _Stream, seeded_rng
 from .oracle import solve_dpll
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -46,6 +44,36 @@ PR40 = dict(num_vars=40, num_clauses=147, clause_len=3, power_exponent=2.5)
 # at least two literals and SR instances contain no unit clauses.
 SR_BERNOULLI_P = 0.3
 SR_GEOMETRIC_P = 0.4
+# numpy's inversion sampler for binomial(1, p) compares one uniform with the
+# probability of 0, computed as exp(n log q), and then of 1
+_SR_Q = 1.0 - SR_BERNOULLI_P
+_SR_P0 = math.exp(math.log(_SR_Q))
+_SR_P1 = SR_BERNOULLI_P * _SR_P0 / _SR_Q
+
+
+def _sr_bernoulli(stream: Stream) -> int:
+    """``Generator.binomial(1, SR_BERNOULLI_P)``: a uniform past both
+    outcomes' probabilities is redrawn, as numpy does."""
+    while True:
+        u = stream.random()
+        if u <= _SR_P0:
+            return 0
+        if u - _SR_P0 <= _SR_P1:
+            return 1
+
+
+def _sr_geometric(stream: Stream) -> int:
+    """``Generator.geometric(SR_GEOMETRIC_P)`` by numpy's search sampler,
+    which numpy takes for ``p >= 1/3``: the trial count at which the running
+    sum of the probabilities first reaches one uniform."""
+    u = stream.random()
+    trials, prob = 1, SR_GEOMETRIC_P
+    total = prob
+    while u > total:
+        prob *= 1.0 - SR_GEOMETRIC_P
+        total += prob
+        trials += 1
+    return trials
 
 
 class GenFamily(Enum):
@@ -123,20 +151,18 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     final UNSAT solve and a solve of the twin confirm both labels.
     """
     GenSpec(GenFamily.SR, num_vars)
-    rng = seeded_rng(seed)
+    stream = Stream(seed)
     if isinstance(num_vars, tuple):
-        n = int(rng.integers(num_vars[0], num_vars[1] + 1))
+        n = num_vars[0] + stream.integers(num_vars[1] + 1 - num_vars[0])
     else:
         n = num_vars
 
     clauses: list[tuple[int, ...]] = []
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
     while True:
-        width = 1 + int(rng.binomial(1, SR_BERNOULLI_P)) + int(rng.geometric(SR_GEOMETRIC_P))
-        width = min(width, n)
-        variables = rng.choice(n, size=width, replace=False) + 1
-        flips = rng.integers(2, size=width)
-        clause = make_clause(int(-v if neg else v) for v, neg in zip(variables, flips))
+        width = min(1 + _sr_bernoulli(stream) + _sr_geometric(stream), n)
+        variables = stream.sample(n, width)
+        clause = make_clause(-v - 1 if stream.integers(2) else v + 1 for v in variables)
         clauses.append(clause)
         if model is not None and any(model[abs(lit)] == (lit > 0) for lit in clause):
             continue  # the model satisfies the whole prefix, so it is still SAT
@@ -147,7 +173,7 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
 
     unsat_formula = Formula(n, tuple(clauses))
     final = clauses[-1]
-    flip_at = int(rng.integers(len(final)))
+    flip_at = stream.integers(len(final))
     flipped = tuple(-lit if i == flip_at else lit for i, lit in enumerate(final))
     sat_formula = Formula(n, tuple(clauses[:-1]) + (flipped,))
 
@@ -165,7 +191,7 @@ def _random_ksat(
 ) -> LabeledInstance:
     """Random k-SAT instance with an oracle-assigned label: each clause takes
     its variables from ``draw(stream)`` and a fair-coin polarity for each."""
-    stream = _Stream(seed)
+    stream = Stream(seed)
     clauses = []
     for _ in range(num_clauses):
         variables = draw(stream)
@@ -181,7 +207,7 @@ def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> Label
     """Uniform random k-SAT instance with an oracle-assigned label."""
     GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
 
-    def draw(stream: _Stream) -> list[int]:
+    def draw(stream: Stream) -> list[int]:
         return [v + 1 for v in stream.sample(num_vars, clause_len)]
 
     return _random_ksat(GenFamily.UR, num_vars, num_clauses, clause_len, seed, draw)
@@ -204,9 +230,9 @@ def gen_pr(
     Distinct variables per clause are enforced by redrawing duplicates.
     """
     GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
-    cdf = _Stream.cdf(_power_weights(num_vars, power_exponent))
+    cdf = Stream.cdf(_power_weights(num_vars, power_exponent).tolist())
 
-    def draw(stream: _Stream) -> list[int]:
+    def draw(stream: Stream) -> list[int]:
         chosen: list[int] = []
         while len(chosen) < clause_len:
             v = stream.pick(cdf) + 1

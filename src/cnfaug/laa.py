@@ -4,16 +4,19 @@ These mirror the generic graph-augmentation repertoire (node dropping, edge
 perturbation, random-walk subgraphs) adapted so that every output is still a
 well-formed CNF formula, i.e. a valid incidence graph.  They serve as
 baselines: unlike the transformations in :mod:`cnfaug.lpa`, they can and do
-flip satisfiability labels.
+flip satisfiability labels.  Every draw comes from a
+:class:`cnfaug._stream.Stream` seeded per call, so outputs are a pure
+function of (formula, rate, seed).
 """
 
 from __future__ import annotations
 
 import math
 
+from ._stream import Stream
 from .formula import Clause, Formula, literal_key
 from .graph import build_lig
-from .lpa import _ceil_count, seeded_rng
+from .lpa import _ceil_count
 
 
 def _floor_count(rate: float, base: int) -> int:
@@ -30,8 +33,7 @@ def drop_clauses(formula: Formula, rate: float, seed: int) -> Formula:
     count = _floor_count(rate, formula.num_clauses)
     if count == 0:
         return formula
-    rng = seeded_rng(seed)
-    dropped = set(rng.choice(formula.num_clauses, size=count, replace=False).tolist())
+    dropped = set(Stream(seed).sample(formula.num_clauses, count))
     kept = tuple(c for i, c in enumerate(formula.clauses) if i not in dropped)
     return Formula(formula.num_vars, kept)
 
@@ -43,8 +45,7 @@ def drop_variables(formula: Formula, rate: float, seed: int) -> Formula:
     count = _floor_count(rate, formula.num_vars)
     if count == 0:
         return formula
-    rng = seeded_rng(seed)
-    dropped = set((rng.choice(formula.num_vars, size=count, replace=False) + 1).tolist())
+    dropped = {v + 1 for v in Stream(seed).sample(formula.num_vars, count)}
     kept: list[Clause] = []
     for clause in formula.clauses:
         reduced = tuple(lit for lit in clause if abs(lit) not in dropped)
@@ -65,15 +66,14 @@ def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
     edits = _floor_count(rate, occurrences)
     if edits == 0:
         return formula
-    rng = seeded_rng(seed)
+    stream = Stream(seed)
     clauses: list[list[int]] = [list(c) for c in formula.clauses]
     for _ in range(edits):
-        remove = bool(rng.integers(2))
-        if remove:
+        if stream.integers(2):
             total = sum(len(c) for c in clauses)
             if total == 0:
                 continue
-            flat = int(rng.integers(total))
+            flat = stream.integers(total)
             for ci, clause in enumerate(clauses):
                 if flat < len(clause):
                     clause.pop(flat)
@@ -84,9 +84,9 @@ def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
         else:
             if not clauses or formula.num_vars == 0:
                 continue
-            ci = int(rng.integers(len(clauses)))
-            var = int(rng.integers(1, formula.num_vars + 1))
-            lit = -var if rng.integers(2) else var
+            ci = stream.integers(len(clauses))
+            var = 1 + stream.integers(formula.num_vars)
+            lit = -var if stream.integers(2) else var
             if lit in clauses[ci]:
                 continue
             clauses[ci] = sorted(clauses[ci] + [lit], key=literal_key)
@@ -105,7 +105,7 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     if graph.num_nodes == 0:
         raise ValueError("cannot take a subgraph of an empty formula")
     steps = _ceil_count(rate, graph.num_nodes)
-    rng = seeded_rng(seed)
+    stream = Stream(seed)
     offset = graph.num_literal_nodes
     # ascending neighbour lists: a literal's complement comes before its
     # clause nodes, and sorted edges append clause and literal nodes in order
@@ -114,13 +114,13 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     for lit_idx, clause_idx in sorted(graph.cl_edges):
         nbrs[lit_idx].append(offset + clause_idx)
         nbrs[offset + clause_idx].append(lit_idx)
-    current = int(rng.integers(graph.num_nodes))
+    current = stream.integers(graph.num_nodes)
     visited = {current}
     for _ in range(steps):
         options = nbrs[current]
         if not options:
             break
-        current = options[int(rng.integers(len(options)))]
+        current = options[stream.integers(len(options))]
         visited.add(current)
 
     kept: list[Clause] = []

@@ -4,12 +4,9 @@ Each transformation maps a formula to a new formula with the same SAT/UNSAT
 label, parameterized by an intensity ``rate`` in [0, 1] and a seed.  The
 rate is mapped to a step count with ``ceil(rate * base)`` where the base is
 operation-specific (unit clauses for unit propagation, clause count for
-clause additions, variable count for elimination).  All randomness comes
-from a PCG64 bit generator seeded per call, so outputs are a pure function of
-(formula, rate, seed).  Clause resolution reads the generator's raw output in
-bulk through :class:`_Stream`, which gives exactly the values of the numpy
-``Generator`` calls it stands in for; the other transformations call the
-``Generator`` of :func:`seeded_rng`.
+clause additions, variable count for elimination).  Every draw comes from
+a :class:`cnfaug._stream.Stream` seeded per call, so outputs are a pure
+function of (formula, rate, seed).
 
 Variable elimination, clause resolution, subsumption and the pure-variable
 scan work on one integer bitmask per clause, in the literal-bit convention
@@ -21,10 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
 
-import numpy as np
-
+from ._stream import Stream
 from .formula import (
     Clause,
     Formula,
@@ -39,106 +34,6 @@ logger = logging.getLogger(__name__)
 
 MAX_RESOLVE_ATTEMPTS = 50
 RESOLVENT_BOUND_FACTOR = 2.0
-
-
-def seeded_rng(seed: int) -> np.random.Generator:
-    """The numpy generator of a seed; :class:`_Stream` gives the values of
-    some of its calls from the same PCG64 output."""
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-_RAW_BLOCK = 128
-_TWO32 = 1 << 32
-_MASK32 = _TWO32 - 1
-
-
-class _Stream:
-    """The draws of ``seeded_rng(seed)`` for four ``Generator`` calls, read
-    from PCG64's raw 64-bit outputs fetched ``_RAW_BLOCK`` at a time.
-
-    numpy's bounded draws are Lemire's multiply-and-reject method on 32-bit
-    values.  A 32-bit value is the held high half of the last raw output if
-    there is one, else the low half of the next output, whose high half is
-    then held.  A double takes a whole raw output and leaves any held half in
-    place.  The same calls in the same order give the same values as the
-    ``Generator``; per call this skips numpy's dispatch and array overhead.
-    """
-
-    __slots__ = ("_bits", "_raw", "_half")
-
-    def __init__(self, seed: int) -> None:
-        self._bits = np.random.PCG64(seed)
-        self._raw: list[int] = []  # reversed, so pop() yields the next output
-        self._half: int | None = None
-
-    def _refill(self) -> list[int]:
-        self._raw = self._bits.random_raw(_RAW_BLOCK).tolist()[::-1]
-        return self._raw
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        raw = (self._raw or self._refill()).pop()
-        self._half = raw >> 32
-        return raw & _MASK32
-
-    def integers(self, bound: int) -> int:
-        """``Generator.integers(bound)`` for ``1 <= bound <= 2**32``; a bound
-        of 1 consumes nothing."""
-        if not 1 < bound <= _TWO32:
-            if bound == 1:
-                return 0
-            raise ValueError(f"bound must lie in [1, 2**32], got {bound}")
-        m = self._next32() * bound
-        if m & _MASK32 < bound:
-            threshold = _TWO32 % bound
-            while m & _MASK32 < threshold:
-                m = self._next32() * bound
-        return m >> 32
-
-    def random(self) -> float:
-        """``Generator.random()``: the top 53 bits of one raw output."""
-        return ((self._raw or self._refill()).pop() >> 11) * 2.0**-53
-
-    def sample(self, n: int, k: int) -> list[int]:
-        """``Generator.choice(n, k, replace=False)``: Floyd's algorithm, then
-        a shuffle of positions ``k-1 .. 1``.
-
-        numpy takes another algorithm when ``n > 10000 and k > n // 50``;
-        those shapes raise :class:`ValueError`.
-        """
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot sample {k} of {n} without replacement")
-        if n > 10000 and k > n // 50:
-            raise ValueError(
-                f"sampling {k} of {n} without replacement is limited to "
-                "n <= 10000 or k <= n // 50"
-            )
-        chosen: list[int] = []
-        seen: set[int] = set()
-        for j in range(n - k, n):
-            v = self.integers(j + 1)
-            if v in seen:
-                v = j
-            seen.add(v)
-            chosen.append(v)
-        for i in range(k - 1, 0, -1):
-            j = self.integers(i + 1)
-            chosen[i], chosen[j] = chosen[j], chosen[i]
-        return chosen
-
-    @staticmethod
-    def cdf(p: np.ndarray) -> list[float]:
-        """The cumulative table ``Generator.choice(len(p), p=p)`` builds."""
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return cdf.tolist()
-
-    def pick(self, cdf: list[float]) -> int:
-        """``Generator.choice(len(p), p=p)`` for ``cdf == _Stream.cdf(p)``."""
-        return bisect_right(cdf, self.random())
 
 
 def _ceil_count(rate: float, base: int) -> int:
@@ -175,12 +70,12 @@ def unit_propagate(formula: Formula, rate: float, seed: int) -> Formula:
     steps = _ceil_count(rate, units_at_start)
     if steps == 0:
         return formula
-    rng = seeded_rng(seed)
+    stream = Stream(seed)
     for _ in range(steps):
         unit_positions = [i for i, c in enumerate(clauses) if len(c) == 1]
         if not unit_positions:
             break
-        pick = unit_positions[int(rng.integers(len(unit_positions)))]
+        pick = unit_positions[stream.integers(len(unit_positions))]
         clauses = _delete_literal(clauses, clauses[pick][0])
     return Formula(formula.num_vars, tuple(clauses))
 
@@ -194,13 +89,13 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
     unit clause goes first, new clauses last.  Inverse of one propagation
     step, so the label is preserved.
     """
-    rng = seeded_rng(seed)
+    stream = Stream(seed)
     fresh = formula.num_vars + 1
-    lit = -fresh if rng.integers(2) else fresh
+    lit = -fresh if stream.integers(2) else fresh
     m = formula.num_clauses
     count = _ceil_count(rate, m)
 
-    targets = set(rng.choice(m, size=count, replace=False).tolist()) if count else set()
+    targets = set(stream.sample(m, count))
     body = [
         clause + (-lit,) if i in targets else clause
         for i, clause in enumerate(formula.clauses)
@@ -208,13 +103,9 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
 
     extras: list[Clause] = []
     for _ in range(count):
-        width = min(int(rng.integers(1, 4)), formula.num_vars)
-        lits = [lit]
-        if width:
-            chosen = rng.choice(formula.num_vars, size=width, replace=False) + 1
-            flips = rng.integers(2, size=width)
-            lits += [int(-v if neg else v) for v, neg in zip(chosen, flips)]
-        extras.append(tuple(lits))
+        width = min(1 + stream.integers(3), formula.num_vars)
+        chosen = stream.sample(formula.num_vars, width)
+        extras.append((lit, *(-v - 1 if stream.integers(2) else v + 1 for v in chosen)))
 
     return Formula(fresh, ((lit,), *body, *extras))
 
@@ -233,8 +124,7 @@ def pure_literal_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     count = _ceil_count(rate, len(pure))
     if count == 0:
         return formula
-    rng = seeded_rng(seed)
-    chosen = set(rng.choice(np.asarray(pure), size=count, replace=False).tolist())
+    chosen = {pure[i] for i in Stream(seed).sample(len(pure), count)}
     kept = tuple(
         c for c in formula.clauses if not any(abs(lit) in chosen for lit in c)
     )
@@ -316,8 +206,7 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     INFO record gives the count added, the count requested and the budget.
     Identity when no complementary pair exists.  Clauses are resolved on
     their bitmasks, as in :func:`variable_eliminate`.  Pivots are picked from
-    the weights' cumulative table and clauses by bounded draws, both on a
-    :class:`_Stream`.
+    the weights' cumulative table and clauses by bounded draws.
     """
     target = _ceil_count(rate, formula.num_clauses)
     if target == 0:
@@ -328,11 +217,12 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     pivots = [(1 << 2 * i, pos, neg) for i, (pos, neg) in enumerate(pairs) if pos and neg]
     if not pivots:
         return formula
-    weights = np.array([len(pos) * len(neg) for _, pos, neg in pivots], dtype=float)
-    weights /= weights.sum()
-    cdf = _Stream.cdf(weights)
+    # each weight is one correctly rounded division of exact integers
+    counts = [len(pos) * len(neg) for _, pos, neg in pivots]
+    total = sum(counts)
+    cdf = Stream.cdf([c / total for c in counts])
 
-    stream = _Stream(seed)
+    stream = Stream(seed)
     even = positive_bits(formula.num_vars)
     existing = set(masks)
     added: list[int] = []
@@ -415,7 +305,7 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     masks = [clause_mask(c) for c in clauses]
     even = positive_bits(formula.num_vars)
     remaining = set(range(1, formula.num_vars + 1))
-    rng = seeded_rng(seed)
+    stream = Stream(seed)
     eliminated = 0
     for _ in range(requested):
         occurrences = _occurrence_lists(masks, formula.num_vars)
@@ -428,7 +318,7 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
         if not plans:
             break
         candidates = list(plans)
-        var = candidates[int(rng.integers(len(candidates)))]
+        var = candidates[stream.integers(len(candidates))]
         dropped = set(occurrences[2 * var - 2]).union(occurrences[2 * var - 1])
         kept = [i for i in range(len(masks)) if i not in dropped]
         clauses = [clauses[i] for i in kept] + [clause_of_mask(r) for r in plans[var]]

@@ -28,6 +28,27 @@ PR_SEED = 11
 UR12 = dict(num_vars=12, num_clauses=51, clause_len=3)
 
 
+def _one_polarity(v: int) -> int:
+    return -v if v % 3 == 0 else v
+
+
+# numpy samples k of n by a tail shuffle when n > 10000 and k > n // 50.
+# Here 10,050 clauses over 10,050 variables, each variable of one polarity,
+# take that branch at rates above 1/50 in clause, variable and pure-variable
+# samples.
+TAIL_SHUFFLE = Formula(
+    10050, tuple((_one_polarity(v), _one_polarity(v % 10050 + 1)) for v in range(1, 10051))
+)
+# a header past 2**32 variables: bounded draws over variables take whole raw outputs
+WIDE_HEADER = Formula(5 * 10**9, ((1, 2), (-1,), (3, -4, 5)))
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The numpy generator whose draws ``cnfaug._stream.Stream`` replays;
+    the ``reference_*`` copies in the tests draw from it."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def formula_of(num_vars: int, *clauses) -> Formula:
     """Formula from literal lists."""
     return Formula(num_vars, clauses)
@@ -104,4 +125,4 @@ def family_corpora(sr_corpus, ur_corpus, pr_corpus):
 
 @pytest.fixture()
 def rng():
-    return np.random.Generator(np.random.PCG64(987654321))
+    return seeded_rng(987654321)

@@ -133,13 +133,24 @@ def test_gen_dpll_variable_limit_is_data_error(tmp_path, capsys):
 
 
 def test_gen_ur_outside_the_sampler_is_data_error(tmp_path, capsys):
+    # numpy draws 401 of 20000 by a tail shuffle, which the stream replays
     out = tmp_path / "wide"
     code = main(["gen", "--family", "ur", "--vars", "20000", "--clauses", "1", "--k", "401",
                  "--count", "1", "--out", str(out)])
     assert code == EXIT_DATA
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error: sampling 401 of 20000 without replacement")
+    assert err.startswith("error:") and "20000 variables" in err
+
+
+def test_gen_sr_span_past_2_32_is_data_error(tmp_path, capsys):
+    # the variable count is a bounded draw past 2**32, on whole raw outputs
+    out = tmp_path / "wide"
+    code = main(["gen", "--family", "sr", "--vars", "2:8589934592", "--count", "1",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: 6872834097 variables exceeds the configured limit 200\n"
 
 
 def test_gen_oracle_budget_is_data_error(tmp_path, capsys, monkeypatch):

@@ -23,14 +23,15 @@ from cnfaug import (
     solve_dpll,
     write_corpus,
 )
-from cnfaug.gen import PR40, SR_BERNOULLI_P, SR_GEOMETRIC_P
-from conftest import PR10, UR12
+from cnfaug._stream import Stream
+from cnfaug.gen import PR40, SR_BERNOULLI_P, SR_GEOMETRIC_P, _sr_bernoulli, _sr_geometric
+from conftest import PR10, UR12, seeded_rng
 
 
 def reference_gen_sr(num_vars, seed):
     """The SR loop that solved the whole prefix after every appended clause,
     kept as the reference the model-reusing loop must match pair for pair."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     if isinstance(num_vars, tuple):
         n = int(rng.integers(num_vars[0], num_vars[1] + 1))
     else:
@@ -67,7 +68,7 @@ SR_IDENTITY_CASES = [
 def reference_gen_ur(num_vars, num_clauses, clause_len, seed):
     """``gen_ur`` with its own clause loop, from before UR and PR shared one
     body, kept as the reference the shared body must match."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     clauses = []
     for _ in range(num_clauses):
         variables = rng.choice(num_vars, size=clause_len, replace=False) + 1
@@ -87,7 +88,7 @@ def reference_gen_ur(num_vars, num_clauses, clause_len, seed):
 
 def reference_gen_pr(num_vars, num_clauses, clause_len, power_exponent, seed):
     """``gen_pr`` with its own clause loop, kept like :func:`reference_gen_ur`."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     weights = np.arange(1, num_vars + 1, dtype=float) ** -power_exponent
     weights = weights / weights.sum()
     clauses = []
@@ -143,9 +144,24 @@ def test_pr_matches_reference(shape):
 
 
 def test_ur_refuses_shapes_outside_floyds_sampler():
-    # numpy draws 401 of 20000 by another algorithm, which the stream does not replay
-    with pytest.raises(ValueError, match=r"^sampling 401 of 20000 without replacement"):
-        gen_ur(20000, 1, 401, 0)
+    # numpy draws 401 of 20000 by a tail shuffle; the stream replays it, and
+    # DPLL's variable limit refuses the formula
+    for seed in (0, derive_seed(15, 0)):
+        with pytest.raises(ValueError, match="20000 variables"):
+            gen_ur(20000, 1, 401, seed)
+
+
+def test_sr_width_replays_match_generator():
+    # numpy's binomial(1, 0.3) and geometric(0.4), call for call, then the
+    # next bounded draw and double show that the stream stays aligned
+    for seed in [*range(50), *(derive_seed(22, i) for i in range(50))]:
+        rng, stream = seeded_rng(seed), Stream(seed)
+        for _ in range(100):
+            assert _sr_bernoulli(stream) == rng.binomial(1, SR_BERNOULLI_P)
+            assert _sr_geometric(stream) == rng.geometric(SR_GEOMETRIC_P)
+            assert stream.integers(10) == rng.integers(10)
+        assert stream.integers(2**32) == rng.integers(2**32)
+        assert stream.random() == rng.random()
 
 
 def test_spec_validation():

@@ -1,12 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 
 from cnfaug import (
     Formula,
     Label,
     build_lig,
+    derive_seed,
     drop_clauses,
     drop_variables,
     make_clause,
@@ -15,7 +15,9 @@ from cnfaug import (
     subgraph,
     to_formula,
 )
-from conftest import formula_of, non_canonical, random_formula
+from cnfaug import laa
+from cnfaug.formula import literal_key
+from conftest import TAIL_SHUFFLE, WIDE_HEADER, formula_of, non_canonical, random_formula, seeded_rng
 
 
 def reference_subgraph(formula, rate, seed):
@@ -26,7 +28,7 @@ def reference_subgraph(formula, rate, seed):
     if graph.num_nodes == 0:
         raise ValueError("cannot take a subgraph of an empty formula")
     steps = max(0, math.ceil(rate * graph.num_nodes - 1e-9))
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     offset = graph.num_literal_nodes
     sets = {i: set() for i in range(graph.num_nodes)}
     for lit_idx, clause_idx in graph.cl_edges:
@@ -187,3 +189,90 @@ class TestSubgraphMatchesReference:
         for corpus in (sr_corpus, ur_corpus, pr_corpus):
             for i, inst in enumerate(corpus[:200]):
                 assert subgraph(inst.formula, rate, i) == reference_subgraph(inst.formula, rate, i)
+
+
+def reference_drop_clauses(formula, rate, seed):
+    """The baselines below on numpy's ``Generator``, one call per draw,
+    kept as the references the stream's draws must match."""
+    count = laa._floor_count(rate, formula.num_clauses)
+    if count == 0:
+        return formula
+    rng = seeded_rng(seed)
+    dropped = set(rng.choice(formula.num_clauses, size=count, replace=False).tolist())
+    return Formula(formula.num_vars, tuple(c for i, c in enumerate(formula.clauses) if i not in dropped))
+
+
+def reference_drop_variables(formula, rate, seed):
+    count = laa._floor_count(rate, formula.num_vars)
+    if count == 0:
+        return formula
+    rng = seeded_rng(seed)
+    dropped = set((rng.choice(formula.num_vars, size=count, replace=False) + 1).tolist())
+    kept = []
+    for clause in formula.clauses:
+        reduced = tuple(lit for lit in clause if abs(lit) not in dropped)
+        if reduced or not clause:
+            kept.append(reduced)
+    return Formula(formula.num_vars, tuple(kept))
+
+
+def reference_perturb_links(formula, rate, seed):
+    edits = laa._floor_count(rate, sum(len(c) for c in formula.clauses))
+    if edits == 0:
+        return formula
+    rng = seeded_rng(seed)
+    clauses = [list(c) for c in formula.clauses]
+    for _ in range(edits):
+        if rng.integers(2):
+            total = sum(len(c) for c in clauses)
+            if total == 0:
+                continue
+            flat = int(rng.integers(total))
+            for ci, clause in enumerate(clauses):
+                if flat < len(clause):
+                    clause.pop(flat)
+                    if not clause:
+                        clauses.pop(ci)
+                    break
+                flat -= len(clause)
+        else:
+            if not clauses or formula.num_vars == 0:
+                continue
+            ci = int(rng.integers(len(clauses)))
+            var = int(rng.integers(1, formula.num_vars + 1))
+            lit = -var if rng.integers(2) else var
+            if lit not in clauses[ci]:
+                clauses[ci] = sorted(clauses[ci] + [lit], key=literal_key)
+    return Formula(formula.num_vars, tuple(tuple(c) for c in clauses))
+
+
+LAA_REFERENCES = {
+    drop_clauses: reference_drop_clauses,
+    drop_variables: reference_drop_variables,
+    perturb_links: reference_perturb_links,
+}
+
+
+@pytest.mark.parametrize("fn", list(LAA_REFERENCES), ids=lambda fn: fn.__name__)
+class TestMatchesGeneratorReference:
+    def test_random_and_non_canonical_formulas(self, rng, fn):
+        for idx in range(150):
+            f = random_formula(rng)
+            seed = derive_seed(20, idx) if idx % 2 else idx
+            for g in (f, non_canonical(f)):
+                for rate in (0.1, 0.6, 1.0):
+                    assert fn(g, rate, seed) == LAA_REFERENCES[fn](g, rate, seed), (g, rate, seed)
+
+    def test_corpora(self, sr_corpus, ur_corpus, pr_corpus, fn):
+        for corpus in (sr_corpus, ur_corpus, pr_corpus):
+            for idx, inst in enumerate(corpus[:100]):
+                for rate in (0.1, 0.6):
+                    assert fn(inst.formula, rate, idx) == LAA_REFERENCES[fn](inst.formula, rate, idx)
+
+
+def test_tail_shuffle_and_wide_shapes_match_reference():
+    for seed in (0, derive_seed(21, 0)):
+        for fn in (drop_clauses, drop_variables):
+            assert fn(TAIL_SHUFFLE, 0.05, seed) == LAA_REFERENCES[fn](TAIL_SHUFFLE, 0.05, seed)
+        for fn, rate in ((drop_variables, 2e-9), (perturb_links, 1.0)):
+            assert fn(WIDE_HEADER, rate, seed) == LAA_REFERENCES[fn](WIDE_HEADER, rate, seed)

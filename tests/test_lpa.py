@@ -26,8 +26,18 @@ from cnfaug import (
     variable_eliminate,
 )
 from cnfaug import derive_seed, lpa
-from cnfaug.lpa import _pure_variables, _Stream, seeded_rng
-from conftest import formula_of, non_canonical, random_formula, small_formulas
+from cnfaug._stream import Stream
+from cnfaug.gen import _power_weights
+from cnfaug.lpa import _pure_variables
+from conftest import (
+    TAIL_SHUFFLE,
+    WIDE_HEADER,
+    formula_of,
+    non_canonical,
+    random_formula,
+    seeded_rng,
+    small_formulas,
+)
 
 # The four-clause running example used by the deterministic golden tests:
 #   c1: x1   c2: x2|x3   c3: x1|-x3|x4   c4: -x1|x2|x3|-x4
@@ -53,10 +63,11 @@ def labeled_sample(sr_corpus):
 
 
 def _generator_call(rng, call):
-    """The numpy ``Generator`` call that ``_Stream`` stands in for."""
+    """The numpy ``Generator`` call that ``Stream`` stands in for."""
     name, *args = call
     if name == "integers":
-        return int(rng.integers(*args))
+        (bound,) = args
+        return int(rng.integers(bound, dtype=np.uint64 if bound > 2**63 else np.int64))
     if name == "random":
         return rng.random()
     if name == "sample":
@@ -68,7 +79,7 @@ def _generator_call(rng, call):
 def _stream_call(stream, call):
     name, *args = call
     if name == "pick":
-        return stream.pick(_Stream.cdf(*args))
+        return stream.pick(Stream.cdf(*args))
     return getattr(stream, name)(*args)
 
 
@@ -82,7 +93,10 @@ def _normalized(weights):
 
 
 STREAM_CALLS = st.one_of(
-    st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 12, 2**31 + 1, 2**32])),
+    st.tuples(
+        st.just("integers"),
+        st.sampled_from([1, 2, 3, 12, 2**31 + 1, 2**32, 2**32 + 1, 3 * 2**40 + 7, 2**63, 2**64]),
+    ),
     st.just(("random",)),
     (st.sampled_from([1, 10000]) | st.integers(1, 300)).flatmap(_sample_call),
     st.lists(st.floats(0, 1, allow_subnormal=False), min_size=1, max_size=12)
@@ -95,25 +109,40 @@ class TestStream:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.lists(STREAM_CALLS, max_size=12))
     def test_matches_generator_call_for_call(self, seed, calls):
-        rng, stream = seeded_rng(seed), _Stream(seed)
+        rng, stream = seeded_rng(seed), Stream(seed)
         for call in calls:
             assert _stream_call(stream, call) == _generator_call(rng, call), call
         # a lost or reused held 32-bit half shows in the next two draws
         assert stream.integers(2**32) == int(rng.integers(2**32))
         assert stream.random() == rng.random()
 
-    def test_sample_shapes_numpy_draws_another_way_are_refused(self):
-        for n, k in [(10001, 201), (20000, 401), (20000, 20000)]:
-            with pytest.raises(ValueError, match=r"limited to n <= 10000 or k <= n // 50$"):
-                _Stream(3).sample(n, k)
-        # the edges of the precondition stay on Floyd's algorithm, as numpy does
-        for n, k in [(10000, 10000), (10001, 200), (20000, 400)]:
-            expected = seeded_rng(3).choice(n, k, replace=False).tolist()
-            assert _Stream(3).sample(n, k) == expected
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=60), st.floats(1.01, 4.0))
+    def test_cdf_bits_match_cumsum(self, counts, exponent):
+        # CR's integer counts over their exact sum, and gen_pr's power-law weights
+        total = sum(counts)
+        weights = np.array(counts, dtype=float)
+        power = _power_weights(len(counts), exponent)
+        for ours, p in (([c / total for c in counts], weights / weights.sum()), (power.tolist(), power)):
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            assert Stream.cdf(ours) == cdf.tolist()
+
+    def test_sample_shapes_numpy_draws_another_way_match_choice(self):
+        # numpy shuffles the tail of range(n) when n > 10000 and k > n // 50;
+        # the edges of that precondition, and bounds past 2**32, take Floyd's
+        shapes = [(10001, 201), (20000, 401), (20000, 20000), (10001, 10001),
+                  (10000, 10000), (10001, 200), (20000, 400), (2**33, 5)]
+        for seed in (3, derive_seed(16, 3)):
+            for n, k in shapes:
+                rng, stream = seeded_rng(seed), Stream(seed)
+                assert stream.sample(n, k) == rng.choice(n, k, replace=False).tolist(), (n, k)
+                assert stream.integers(2**32) == int(rng.integers(2**32))
+                assert stream.random() == rng.random()
 
     def test_out_of_range_arguments_are_refused(self):
-        stream = _Stream(0)
-        for bound in (0, -1, 2**32 + 1):
+        stream = Stream(0)
+        for bound in (0, -1, 2**64 + 1):
             with pytest.raises(ValueError, match="bound must lie in"):
                 stream.integers(bound)
         with pytest.raises(ValueError, match="cannot sample 4 of 3"):
@@ -319,7 +348,7 @@ def reference_clause_resolution(formula, rate, seed, max_attempts=50):
         return formula
     weights = np.array([len(pos[v]) * len(neg[v]) for v in pivots], dtype=float)
     weights /= weights.sum()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     existing = {make_clause(c) for c in formula.clauses}
     added = []
     attempts = 0
@@ -448,7 +477,7 @@ def reference_variable_eliminate(formula, rate, seed, bound_factor=2.0):
     requested = max(1, math.ceil(rate * formula.num_vars - 1e-9))
     clauses = list(formula.clauses)
     remaining = set(range(1, formula.num_vars + 1))
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     for _ in range(requested):
         plans = {
             v: plan
@@ -513,6 +542,88 @@ class TestVariableEliminateEngine:
         assert after <= before
         # each eliminated variable is distinct and occurs nowhere in the output
         assert formula.num_vars - len(after) >= eliminated
+
+
+def reference_unit_propagate(formula, rate, seed):
+    """The transformations below on numpy's ``Generator``, one call per
+    draw, kept as the references the stream's draws must match."""
+    clauses = list(formula.clauses)
+    steps = lpa._ceil_count(rate, sum(1 for c in clauses if len(c) == 1))
+    if steps == 0:
+        return formula
+    rng = seeded_rng(seed)
+    for _ in range(steps):
+        unit_positions = [i for i, c in enumerate(clauses) if len(c) == 1]
+        if not unit_positions:
+            break
+        pick = unit_positions[int(rng.integers(len(unit_positions)))]
+        clauses = lpa._delete_literal(clauses, clauses[pick][0])
+    return Formula(formula.num_vars, tuple(clauses))
+
+
+def reference_add_unit_literal(formula, rate, seed):
+    rng = seeded_rng(seed)
+    fresh = formula.num_vars + 1
+    lit = -fresh if rng.integers(2) else fresh
+    m = formula.num_clauses
+    count = lpa._ceil_count(rate, m)
+    targets = set(rng.choice(m, size=count, replace=False).tolist()) if count else set()
+    body = [clause + (-lit,) if i in targets else clause for i, clause in enumerate(formula.clauses)]
+    extras = []
+    for _ in range(count):
+        width = min(int(rng.integers(1, 4)), formula.num_vars)
+        lits = [lit]
+        if width:
+            chosen = rng.choice(formula.num_vars, size=width, replace=False) + 1
+            flips = rng.integers(2, size=width)
+            lits += [int(-v if neg else v) for v, neg in zip(chosen, flips)]
+        extras.append(tuple(lits))
+    return Formula(fresh, ((lit,), *body, *extras))
+
+
+def reference_pure_literal_eliminate(formula, rate, seed):
+    pure = _pure_variables(formula)
+    count = lpa._ceil_count(rate, len(pure))
+    if count == 0:
+        return formula
+    rng = seeded_rng(seed)
+    chosen = set(rng.choice(np.asarray(pure), size=count, replace=False).tolist())
+    kept = tuple(c for c in formula.clauses if not any(abs(lit) in chosen for lit in c))
+    return Formula(formula.num_vars, kept)
+
+
+LPA_REFERENCES = {
+    unit_propagate: reference_unit_propagate,
+    add_unit_literal: reference_add_unit_literal,
+    pure_literal_eliminate: reference_pure_literal_eliminate,
+    variable_eliminate: reference_variable_eliminate,
+}
+
+
+@pytest.mark.parametrize("fn", list(LPA_REFERENCES), ids=lambda fn: fn.__name__)
+class TestMatchesGeneratorReference:
+    def test_random_and_non_canonical_formulas(self, rng, fn):
+        for idx in range(100):
+            f = random_formula(rng, max_vars=10)
+            seed = derive_seed(18, idx) if idx % 2 else idx
+            for g in (f, non_canonical(f)):
+                for rate in (0.1, 0.5, 1.0):
+                    assert fn(g, rate, seed) == LPA_REFERENCES[fn](g, rate, seed), (g, rate, seed)
+
+    def test_corpora(self, sr_corpus, ur_corpus, pr_corpus, fn):
+        for corpus in (sr_corpus, ur_corpus, pr_corpus):
+            for idx, inst in enumerate(corpus[:30]):
+                for rate in (0.1, 0.5):
+                    expected = LPA_REFERENCES[fn](inst.formula, rate, idx)
+                    assert fn(inst.formula, rate, idx) == expected
+
+
+def test_tail_shuffle_and_wide_shapes_match_reference():
+    for seed in (0, derive_seed(19, 0)):
+        for fn in (add_unit_literal, pure_literal_eliminate):
+            assert fn(TAIL_SHUFFLE, 0.05, seed) == LPA_REFERENCES[fn](TAIL_SHUFFLE, 0.05, seed)
+        expected = reference_add_unit_literal(WIDE_HEADER, 1.0, seed)
+        assert add_unit_literal(WIDE_HEADER, 1.0, seed) == expected
 
 
 def _sc(formula, rate, seed):
