@@ -104,6 +104,24 @@ def test_tiny_and_huge_rows_match_double_loop_on_prescaled_rows(rng, scale):
     assert cosine_sim([scale, 0.0], [scale, 0.0]) == 1.0
 
 
+def test_overflowing_norms_scaled():
+    # these rows, divided by 1e200, give ln(1 + 2*exp(-2)); their norms
+    # overflow, so each is divided by its largest magnitude, not refused
+    batch = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    expected = math.log(1.0 + 2.0 * math.exp(-2.0))
+    assert nt_xent(batch * 1e200) == pytest.approx(expected, abs=1e-12)
+    assert nt_xent(batch * 1e200) == nt_xent(batch)
+
+
+def test_overflowing_norms_scaled_without_warnings():
+    batch = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nt_xent(batch * 1e200) == nt_xent(batch)
+        assert cosine_sim([1e200, 1e200], [1.0, 0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert cosine_sim([1.0, 0.0], [1e200, 1e200]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
 def test_single_pair_loss_is_exactly_zero():
     batch = np.array([[3.0, 1.0], [0.5, -2.0]])
     assert nt_xent(batch) == 0.0
