@@ -12,6 +12,16 @@ literal ``+v`` is bit ``2(v-1)`` and ``-v`` is bit ``2(v-1)+1``.  Ascending
 bit order is :func:`literal_key` order, so a mask decodes to the canonical
 clause tuple, and a clause is tautological exactly when its mask has a pair
 ``2(v-1), 2(v-1)+1`` both set.
+
+Every file cnfaug reads, it wrote itself with :func:`serialize_dimacs`:
+one ``p cnf N M`` line, then one canonical clause per line.
+:func:`parse_dimacs` reads such a document in one pass over its integer
+tokens, checks each clause as the :class:`Formula` constructor would, and
+stores the clauses without a second check.  A document that fails any part
+of that test (a comment, a late header, a bad token, an unsorted or
+out-of-range clause, a missing 0, a clause count the header disagrees with,
+CRLF line ends) goes to the line-by-line parser instead, which is the only
+code that raises :class:`DimacsError` or warns :class:`DimacsWarning`.
 """
 
 from __future__ import annotations
@@ -107,6 +117,12 @@ class Formula:
     Literals must reference variables in ``1..num_vars``.  Every clause is
     stored canonical, as :func:`make_clause` builds it, so formulas that
     differ only in literal order or repeated literals are equal.
+
+    The private :meth:`_canonical` stores its arguments with no check.  It
+    is only for clauses already canonical and in range: the fast path of
+    :func:`parse_dimacs`, and engines whose clauses are their input's own
+    clauses, order-preserving sub-tuples of them or :func:`clause_of_mask`
+    results.
     """
 
     num_vars: int
@@ -139,6 +155,14 @@ class Formula:
             clauses.append(make_clause(clause))
         object.__setattr__(self, "clauses", tuple(clauses))
 
+    @classmethod
+    def _canonical(cls, num_vars: int, clauses: tuple[Clause, ...]) -> Formula:
+        """A formula over ``clauses`` as given; only for clauses already canonical."""
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "num_vars", num_vars)
+        object.__setattr__(formula, "clauses", clauses)
+        return formula
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
@@ -163,7 +187,47 @@ def parse_dimacs(text: str) -> Formula:
     lines.  A clause count that disagrees with the header is tolerated with
     a :class:`DimacsWarning`; a bad header, an out-of-range literal, or a
     final clause missing its 0 terminator raise :class:`DimacsError`.
+
+    A document as :func:`serialize_dimacs` writes it takes a fast path: a
+    first line ``p cnf N M`` in exactly that spelling, then integer tokens
+    only, forming ``M`` 0-terminated canonical clauses over ``1..N``.  Their
+    literals are checked once and stored as read.  Any other document goes
+    to the line-by-line parser, which raises every error and warning.
     """
+    head, _, body = text.partition("\n")
+    try:
+        num_vars, declared = map(int, head.removeprefix("p cnf ").split(" "))
+        literals = list(map(int, body.split()))
+    except ValueError:
+        return _parse_lines(text)
+    if head != f"p cnf {num_vars} {declared}" or num_vars < 0:
+        return _parse_lines(text)
+    top = 2 * num_vars + 1
+    clauses = []
+    clause = []
+    prev = 1
+    # the constructor's test: keys 2|l| + (l < 0) strictly increase from 2
+    # up to at most ``top``
+    for lit in literals:
+        if lit:
+            key = 2 * lit if lit > 0 else 1 - 2 * lit
+            if key <= prev:
+                return _parse_lines(text)
+            prev = key
+            clause.append(lit)
+        else:
+            if prev > top:
+                return _parse_lines(text)
+            clauses.append(tuple(clause))
+            clause = []
+            prev = 1
+    if clause or len(clauses) != declared:
+        return _parse_lines(text)
+    return Formula._canonical(num_vars, tuple(clauses))
+
+
+def _parse_lines(text: str) -> Formula:
+    """:func:`parse_dimacs` for any document, one line at a time."""
     num_vars: int | None = None
     declared_clauses = 0
     clauses: list[Clause] = []
@@ -212,7 +276,7 @@ def parse_dimacs(text: str) -> Formula:
         warnings.warn(
             f"header declares {declared_clauses} clauses but {len(clauses)} were read",
             DimacsWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return Formula(num_vars, tuple(clauses))
 

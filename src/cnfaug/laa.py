@@ -35,7 +35,7 @@ def drop_clauses(formula: Formula, rate: float, seed: int) -> Formula:
         return formula
     dropped = set(Stream(seed).sample(formula.num_clauses, count))
     kept = tuple(c for i, c in enumerate(formula.clauses) if i not in dropped)
-    return Formula(formula.num_vars, kept)
+    return Formula._canonical(formula.num_vars, kept)
 
 
 def drop_variables(formula: Formula, rate: float, seed: int) -> Formula:
@@ -51,7 +51,7 @@ def drop_variables(formula: Formula, rate: float, seed: int) -> Formula:
         reduced = tuple(lit for lit in clause if abs(lit) not in dropped)
         if reduced or not clause:
             kept.append(reduced)
-    return Formula(formula.num_vars, tuple(kept))
+    return Formula._canonical(formula.num_vars, tuple(kept))
 
 
 def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
@@ -130,4 +130,4 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
         reduced = tuple(lit for lit in clause if 2 * (abs(lit) - 1) + (lit < 0) in visited)
         if reduced:
             kept.append(reduced)
-    return Formula(formula.num_vars, tuple(kept))
+    return Formula._canonical(formula.num_vars, tuple(kept))

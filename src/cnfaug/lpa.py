@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import reduce
+from operator import or_
 
 from ._stream import Stream
 from .formula import (
@@ -77,7 +79,7 @@ def unit_propagate(formula: Formula, rate: float, seed: int) -> Formula:
             break
         pick = unit_positions[stream.integers(len(unit_positions))]
         clauses = _delete_literal(clauses, clauses[pick][0])
-    return Formula(formula.num_vars, tuple(clauses))
+    return Formula._canonical(formula.num_vars, tuple(clauses))
 
 
 def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
@@ -111,10 +113,14 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
 
 
 def _pure_variables(formula: Formula) -> list[int]:
-    """Variables occurring in a single polarity, by the rule DPLL uses."""
-    pos, neg = polarities(map(clause_mask, formula.clauses), positive_bits(formula.num_vars))
-    pure = pos ^ neg
-    return [v for v in range(1, formula.num_vars + 1) if pure >> (2 * v - 2) & 1]
+    """Variables occurring in a single polarity, by the rule DPLL uses, in
+    ascending order.  The masks are only as wide as the literals that occur,
+    whatever the header declares; the pure variables' positive-literal bits
+    decode to the variables themselves."""
+    masks = list(map(clause_mask, formula.clauses))
+    width = reduce(or_, masks, 0).bit_length()
+    pos, neg = polarities(masks, positive_bits((width + 1) // 2))
+    return list(clause_of_mask(pos ^ neg))
 
 
 def pure_literal_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
@@ -128,7 +134,7 @@ def pure_literal_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     kept = tuple(
         c for c in formula.clauses if not any(abs(lit) in chosen for lit in c)
     )
-    return Formula(formula.num_vars, kept)
+    return Formula._canonical(formula.num_vars, kept)
 
 
 def strict_supersets(masks: list[int]) -> set[int]:
@@ -163,7 +169,7 @@ def subsumed_clause_eliminate(formula: Formula) -> Formula:
         if mask not in skip:
             skip.add(mask)  # later duplicates go
             kept.append(clause)
-    return Formula(formula.num_vars, tuple(kept))
+    return Formula._canonical(formula.num_vars, tuple(kept))
 
 
 def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause | None:
@@ -246,7 +252,9 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
             target,
             budget,
         )
-    return Formula(formula.num_vars, formula.clauses + tuple(map(clause_of_mask, added)))
+    return Formula._canonical(
+        formula.num_vars, formula.clauses + tuple(map(clause_of_mask, added))
+    )
 
 
 def _elimination_plan(
@@ -332,4 +340,4 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
             eliminated,
             requested,
         )
-    return Formula(formula.num_vars, tuple(clauses))
+    return Formula._canonical(formula.num_vars, tuple(clauses))

@@ -3,6 +3,7 @@ import pytest
 from cnfaug import (
     AugmentationSpec,
     ChainParseError,
+    Formula,
     LaaKind,
     LpaKind,
     apply_chain,
@@ -12,7 +13,7 @@ from cnfaug import (
     solve_brute,
     subsumed_clause_eliminate,
 )
-from conftest import formula_of
+from conftest import formula_of, non_canonical, random_formula
 
 
 RUNNING = formula_of(4, [1], [2, 3], [1, -3, 4], [-1, 2, 3, -4])
@@ -116,3 +117,19 @@ def test_chain_is_deterministic(sr_corpus):
     chain = parse_chain("AU:0.3:8,CR:0.2:5,SC,VE:0.1:2")
     f = sr_corpus[2].formula
     assert apply_chain(f, chain) == apply_chain(f, chain)
+
+
+# the engines that build their output with ``Formula._canonical``, which skips
+# the constructor's check
+TRUSTED_KINDS = [LpaKind.UP, LpaKind.PL, LpaKind.SC, LpaKind.CR, LpaKind.VE,
+                 LaaKind.DC, LaaKind.DV, LaaKind.SG]
+
+
+@pytest.mark.parametrize("kind", TRUSTED_KINDS, ids=lambda kind: kind.value)
+def test_unchecked_outputs_are_canonical(rng, kind):
+    for idx in range(120):
+        f = random_formula(rng, max_vars=10)
+        for g in (f, non_canonical(f)):
+            for rate in (0.3, 1.0):
+                out = AugmentationSpec(kind, rate, idx).apply(g)
+                assert Formula(out.num_vars, out.clauses).clauses == out.clauses, (g, rate, idx)

@@ -576,3 +576,40 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     assert "cnfaug" in result.stdout
     assert result.stdout.strip() == f"cnfaug {cnfaug.__version__}"
+
+
+def test_the_pipelines_own_files_take_the_fast_path(tmp_path, monkeypatch):
+    """Every document gen, augment and pair write parses without the
+    line-by-line parser."""
+
+    def line_parser(text):
+        raise AssertionError(f"line parser called on {text[:40]!r}")
+
+    monkeypatch.setattr(cnfaug.formula, "_parse_lines", line_parser)
+    with pytest.raises(AssertionError):
+        parse_dimacs("c a comment\np cnf 0 0\n")
+    families = {
+        "sr": ["--vars", "10", "--count", "3"],
+        "ur": ["--vars", "12", "--clauses", "51", "--k", "3", "--count", "6"],
+        "pr": ["--vars", "10", "--clauses", "41", "--k", "3", "--exp", "1.7", "--count", "6"],
+    }
+    written = []
+    for family, flags in families.items():
+        corpus = tmp_path / family
+        assert main(["gen", "--family", family, *flags, "--seed", "3", "--out", str(corpus)]) == EXIT_OK
+        written += sorted(corpus.glob("*.cnf"))
+        for kind in ("UP", "AU", "PL", "SC", "CR", "VE", "DC", "DV", "LP", "SG"):
+            out = tmp_path / f"{family}-{kind}"
+            chain = kind if kind == "SC" else f"{kind}:0.5:{len(written)}"
+            code = main(["augment", "--input", str(corpus / "*.cnf"), "--chain", chain,
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            written += sorted(out.glob("*.cnf"))
+        views = tmp_path / f"{family}-pair"
+        assert main(["pair", "--input", str(written[0]), "--chain1", "VE:0.3:1,SC",
+                     "--chain2", "AU:0.2:2,LP:0.1:3", "--out", str(views)]) == EXIT_OK
+        written += sorted(views.glob("*.cnf"))
+    assert len(written) == 3 * (6 + 10 * 6 + 2)  # per family: corpus, ten views, a pair
+    for path in written:
+        text = path.read_text()
+        assert serialize_dimacs(parse_dimacs(text)) == text

@@ -261,3 +261,59 @@ def dimacs_like_text(draw):
 @given(dimacs_like_text())
 def test_parse_matches_reference(text):
     assert outcome(parse_dimacs, text) == outcome(reference_parse_dimacs, text)
+
+
+@st.composite
+def serialized_with_one_edit(draw):
+    """``serialize_dimacs`` output, which the fast path reads, with at most
+    one edit at the edge of what it accepts: two literals swapped, one
+    repeated or bumped past the header, a header count off by one or spelt
+    with a leading ``0``, ``+`` or whitespace, an inserted ``-0``, ``+1``,
+    ``1_0``, ``c`` line or blank first line, one CRLF line end, or the last
+    0 dropped."""
+    formula = draw(small_formulas())
+    n, m = formula.num_vars, formula.num_clauses
+    lines = serialize_dimacs(formula).split("\n")  # header, one line per clause, ""
+    edit = draw(st.sampled_from(["none", "swap", "repeat", "bump", "count", "spelling",
+                                 "token", "comment", "blank", "crlf", "last 0"]))
+    with_literals = [i for i, c in enumerate(formula.clauses, start=1) if c]
+    if edit in ("swap", "repeat", "bump") and with_literals:
+        i = draw(st.sampled_from(with_literals))
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 2))
+        if edit == "swap":
+            k = draw(st.integers(0, len(tokens) - 2))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        elif edit == "repeat":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j] = str(n + 1 if int(tokens[j]) > 0 else -n - 1)
+        lines[i] = " ".join(tokens)
+    elif edit == "count":
+        dn, dm = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        lines[0] = f"p cnf {n + dn} {m + dm}"
+    elif edit == "spelling":
+        # int() reads all of these, and the last three break the line for
+        # str.splitlines()
+        sign = draw(st.sampled_from(["0", "+", " ", "\t", "\x0c", "\x85"]))
+        lines[0] = draw(st.sampled_from([f"p cnf {sign}{n} {m}", f"p cnf {n} {sign}{m}"]))
+    elif edit == "token":
+        i = draw(st.integers(1, len(lines) - 1))
+        tokens = lines[i].split()
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["-0", "+1", "1_0"])))
+        lines[i] = " ".join(tokens)
+    elif edit == "comment":
+        lines.insert(draw(st.integers(0, len(lines) - 1)), "c")
+    elif edit == "blank":
+        lines.insert(0, "")
+    elif edit == "crlf":
+        lines[draw(st.integers(0, len(lines) - 2))] += "\r"
+    elif edit == "last 0" and m:
+        lines[m] = lines[m][:-1].rstrip()
+    return "\n".join(lines)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(serialized_with_one_edit())
+def test_parse_matches_reference_at_the_fast_path_edges(text):
+    assert outcome(parse_dimacs, text) == outcome(reference_parse_dimacs, text)

@@ -231,6 +231,17 @@ class TestPureLiteralEliminate:
                         polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
                 assert _pure_variables(g) == sorted(v for v, m in polarity.items() if m != 3)
 
+    def test_wide_header_gives_the_clauses_of_a_tight_one(self):
+        # the cost follows the literals that occur, not the declared count
+        tight = Formula(5, WIDE_HEADER.clauses)
+        wider = Formula(5 * 10**9, ((1, 2), (-1, 7), (4000, -9), (-7,)))
+        for seed in (0, 1, derive_seed(19, 2)):
+            for rate in (0.3, 1.0):
+                for wide, narrow in ((WIDE_HEADER, tight), (wider, Formula(4000, wider.clauses))):
+                    out = pure_literal_eliminate(wide, rate, seed)
+                    assert out.clauses == pure_literal_eliminate(narrow, rate, seed).clauses
+                    assert out.num_vars == wide.num_vars
+
 
 class TestSubsumedClauseEliminate:
     def test_golden(self):
