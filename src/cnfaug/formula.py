@@ -13,7 +13,7 @@ bit order is :func:`literal_key` order, so a mask decodes to the canonical
 clause tuple, and a clause is tautological exactly when its mask has a pair
 ``2(v-1), 2(v-1)+1`` both set.
 
-Every file cnfaug reads, it wrote itself with :func:`serialize_dimacs`:
+The files the pipeline reads are ones it wrote with :func:`serialize_dimacs`:
 one ``p cnf N M`` line, then one canonical clause per line.
 :func:`parse_dimacs` reads such a document in one pass over its integer
 tokens, checks each clause as the :class:`Formula` constructor would, and
