@@ -6,6 +6,9 @@ literals sorted by (variable index, positive-before-negative) with exact
 duplicates removed; the empty clause represents falsum.  A formula is an
 ordered sequence of clauses over a declared variable count; duplicate
 clauses are permitted and clause order is preserved by every operation.
+The :class:`Formula` constructor makes every clause canonical; the parser's
+fast path, the SR generator and every augmentation kind build canonical
+clauses themselves and store them through the unchecked ``_canonical``.
 
 The search and elimination engines work on one integer bitmask per clause:
 literal ``+v`` is bit ``2(v-1)`` and ``-v`` is bit ``2(v-1)+1``.  Ascending
@@ -16,12 +19,12 @@ clause tuple, and a clause is tautological exactly when its mask has a pair
 The files the pipeline reads are ones it wrote with :func:`serialize_dimacs`:
 one ``p cnf N M`` line, then one canonical clause per line.
 :func:`parse_dimacs` reads such a document in one pass over its integer
-tokens, checks each clause as the :class:`Formula` constructor would, and
-stores the clauses without a second check.  A document that fails any part
-of that test (a comment, a late header, a bad token, an unsorted or
-out-of-range clause, a missing 0, a clause count the header disagrees with,
-CRLF line ends) goes to the line-by-line parser instead, which is the only
-code that raises :class:`DimacsError` or warns :class:`DimacsWarning`.
+tokens, checks that each clause is canonical and in range, and stores the
+clauses without a second check.  A document that fails any part of that
+test (a comment, a late header, a bad token, an unsorted or out-of-range
+clause, a missing 0, a clause count the header disagrees with, CRLF line
+ends) goes to the line-by-line parser instead, which is the only code that
+raises :class:`DimacsError` or warns :class:`DimacsWarning`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from operator import or_
+from operator import index, or_
 from typing import Iterable, Mapping
 
 Literal = int
@@ -60,12 +63,13 @@ def literal_key(lit: int) -> tuple[int, bool]:
 def make_clause(literals: Iterable[int]) -> Clause:
     """Build a canonical clause: deduplicated, sorted by :func:`literal_key`.
 
-    Tautological clauses (both ``v`` and ``-v``) are allowed and queryable
-    via :func:`is_tautology`.
+    Literals are taken through :func:`operator.index`, so each is a plain
+    ``int``; a float or a string raises :class:`TypeError`.  Tautological
+    clauses (both ``v`` and ``-v``) are allowed and queryable via
+    :func:`is_tautology`.
     """
     lits = set()
-    for lit in literals:
-        lit = int(lit)
+    for lit in map(index, literals):
         if lit == 0:
             raise ValueError("literal 0 is reserved as the DIMACS terminator")
         lits.add(lit)
@@ -114,15 +118,15 @@ def is_tautology(clause: Clause) -> bool:
 class Formula:
     """An immutable CNF formula: a declared variable count plus clauses.
 
-    Literals must reference variables in ``1..num_vars``.  Every clause is
-    stored canonical, as :func:`make_clause` builds it, so formulas that
+    Literals must be integers (``bool`` and numpy integers are stored as
+    ``int``) referencing variables in ``1..num_vars``.  The constructor
+    stores every clause as :func:`make_clause` builds it, so formulas that
     differ only in literal order or repeated literals are equal.
 
     The private :meth:`_canonical` stores its arguments with no check.  It
-    is only for clauses already canonical and in range: the fast path of
-    :func:`parse_dimacs`, and engines whose clauses are their input's own
-    clauses, order-preserving sub-tuples of them or :func:`clause_of_mask`
-    results.
+    is only for clauses of plain ``int`` literals that are already canonical
+    and in range: the parser's fast path, the SR generator and every
+    augmentation kind.
     """
 
     num_vars: int
@@ -131,29 +135,14 @@ class Formula:
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        top = 2 * self.num_vars + 1
-        clauses = []
-        for clause in self.clauses:
-            clause = tuple(clause)
-            # kept as given when the keys 2|l| + (l < 0) strictly increase
-            # from 2 up to at most ``top``: sorted, distinct and in range
-            prev = 1
-            for lit in clause:
-                key = 2 * lit if lit > 0 else 1 - 2 * lit
-                if key <= prev:
-                    break
-                prev = key
-            else:
-                if prev <= top:
-                    clauses.append(clause)
-                    continue
+        clauses = tuple(tuple(clause) for clause in self.clauses)
+        for clause in clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(
                         f"literal {lit} out of range for {self.num_vars} variables"
                     )
-            clauses.append(make_clause(clause))
-        object.__setattr__(self, "clauses", tuple(clauses))
+        object.__setattr__(self, "clauses", tuple(map(make_clause, clauses)))
 
     @classmethod
     def _canonical(cls, num_vars: int, clauses: tuple[Clause, ...]) -> Formula:
@@ -206,8 +195,8 @@ def parse_dimacs(text: str) -> Formula:
     clauses = []
     clause = []
     prev = 1
-    # the constructor's test: keys 2|l| + (l < 0) strictly increase from 2
-    # up to at most ``top``
+    # a clause is canonical and in range exactly when its keys 2|l| + (l < 0)
+    # strictly increase from 2 up to at most ``top``
     for lit in literals:
         if lit:
             key = 2 * lit if lit > 0 else 1 - 2 * lit

@@ -166,16 +166,16 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
         clauses.append(clause)
         if model is not None and any(model[abs(lit)] == (lit > 0) for lit in clause):
             continue  # the model satisfies the whole prefix, so it is still SAT
-        result = solve_dpll(Formula(n, tuple(clauses)))
+        result = solve_dpll(Formula._canonical(n, tuple(clauses)))
         if result.label is Label.UNSAT:
             break
         model = result.assignment
 
-    unsat_formula = Formula(n, tuple(clauses))
+    unsat_formula = Formula._canonical(n, tuple(clauses))
     final = clauses[-1]
     flip_at = stream.integers(len(final))
     flipped = tuple(-lit if i == flip_at else lit for i, lit in enumerate(final))
-    sat_formula = Formula(n, tuple(clauses[:-1]) + (flipped,))
+    sat_formula = Formula._canonical(n, tuple(clauses[:-1]) + (flipped,))
 
     if solve_dpll(sat_formula).label is not Label.SAT:
         raise RuntimeError("SR invariant violated: flipped twin is not satisfiable")

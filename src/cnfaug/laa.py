@@ -90,7 +90,7 @@ def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
             if lit in clauses[ci]:
                 continue
             clauses[ci] = sorted(clauses[ci] + [lit], key=literal_key)
-    return Formula(formula.num_vars, tuple(tuple(c) for c in clauses))
+    return Formula._canonical(formula.num_vars, tuple(map(tuple, clauses)))
 
 
 def subgraph(formula: Formula, rate: float, seed: int) -> Formula:

@@ -107,9 +107,11 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
     for _ in range(count):
         width = min(1 + stream.integers(3), formula.num_vars)
         chosen = stream.sample(formula.num_vars, width)
-        extras.append((lit, *(-v - 1 if stream.integers(2) else v + 1 for v in chosen)))
+        others = [-v - 1 if stream.integers(2) else v + 1 for v in chosen]
+        # canonical: distinct variables below ``fresh``, then the fresh literal
+        extras.append((*sorted(others, key=abs), lit))
 
-    return Formula(fresh, ((lit,), *body, *extras))
+    return Formula._canonical(fresh, ((lit,), *body, *extras))
 
 
 def _pure_variables(formula: Formula) -> list[int]:
@@ -218,7 +220,9 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     if target == 0:
         return formula
     masks = [clause_mask(c) for c in formula.clauses]
-    occurrences = _occurrence_lists(masks, formula.num_vars)
+    # only as wide as the literals that occur, whatever the header declares
+    width = (reduce(or_, masks, 0).bit_length() + 1) // 2
+    occurrences = _occurrence_lists(masks, width)
     pairs = zip(occurrences[0::2], occurrences[1::2])
     pivots = [(1 << 2 * i, pos, neg) for i, (pos, neg) in enumerate(pairs) if pos and neg]
     if not pivots:
@@ -229,7 +233,7 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     cdf = Stream.cdf([c / total for c in counts])
 
     stream = Stream(seed)
-    even = positive_bits(formula.num_vars)
+    even = positive_bits(width)
     existing = set(masks)
     added: list[int] = []
     budget = MAX_RESOLVE_ATTEMPTS * target

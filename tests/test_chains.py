@@ -119,10 +119,9 @@ def test_chain_is_deterministic(sr_corpus):
     assert apply_chain(f, chain) == apply_chain(f, chain)
 
 
-# the engines that build their output with ``Formula._canonical``, which skips
-# the constructor's check
-TRUSTED_KINDS = [LpaKind.UP, LpaKind.PL, LpaKind.SC, LpaKind.CR, LpaKind.VE,
-                 LaaKind.DC, LaaKind.DV, LaaKind.SG]
+# every augmentation kind builds its output with ``Formula._canonical``, which
+# skips the constructor's canonicalization and range check
+TRUSTED_KINDS = [*LpaKind, *LaaKind]
 
 
 @pytest.mark.parametrize("kind", TRUSTED_KINDS, ids=lambda kind: kind.value)
@@ -133,3 +132,4 @@ def test_unchecked_outputs_are_canonical(rng, kind):
             for rate in (0.3, 1.0):
                 out = AugmentationSpec(kind, rate, idx).apply(g)
                 assert Formula(out.num_vars, out.clauses).clauses == out.clauses, (g, rate, idx)
+                assert all(type(lit) is int for c in out.clauses for lit in c), (g, rate, idx)

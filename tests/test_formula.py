@@ -121,6 +121,22 @@ def test_formula_validates_literal_range():
         Formula(-1, ())
 
 
+def test_integer_literals_are_stored_as_int():
+    f = Formula(2, ((True,), (np.int64(1), np.int64(-2))))
+    assert all(type(lit) is int for clause in f.clauses for lit in clause)
+    assert serialize_dimacs(f) == "p cnf 2 2\n1 0\n1 -2 0\n"
+
+
+@pytest.mark.parametrize("literal", [1.5, 1.0, "1"], ids=repr)
+def test_non_integer_literals_are_refused(literal):
+    with pytest.raises(TypeError):
+        Formula(3, [(literal,)])
+    with pytest.raises(TypeError):
+        Formula(3, [(2, literal)])
+    with pytest.raises(TypeError):
+        make_clause([literal])
+
+
 def test_constructor_sorts_and_dedupes_each_clause():
     assert Formula(2, ((2, 1, 1),)).clauses == ((1, 2),)
     assert Formula(2, [[-2, 1, 2], []]).clauses == ((1, 2, -2), ())

@@ -257,6 +257,14 @@ class TestSr:
     def test_determinism(self):
         assert gen_sr(10, 5) == gen_sr(10, 5)
 
+    def test_clauses_are_what_the_constructor_stores(self, sr_corpus):
+        # gen_sr stores its clauses without the constructor's check
+        sr12 = gen_corpus(GenSpec(GenFamily.SR, 12), 100, 12)
+        for inst in [*sr_corpus, *sr12]:
+            f = inst.formula
+            assert Formula(f.num_vars, f.clauses).clauses == f.clauses
+            assert all(type(lit) is int for clause in f.clauses for lit in clause)
+
     def test_matches_solve_every_clause_reference(self):
         for num_vars, seed in SR_IDENTITY_CASES:
             assert gen_sr(num_vars, seed) == reference_gen_sr(num_vars, seed), (num_vars, seed)

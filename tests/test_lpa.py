@@ -415,6 +415,18 @@ class TestClauseResolutionEngine:
             for rate in self.RATES:
                 assert clause_resolution(f, rate, idx) == reference_clause_resolution(f, rate, idx)
 
+    def test_wide_header_gives_the_clauses_of_a_tight_one(self):
+        # the occurrence lists follow the literals that occur, not the declared count
+        tight = formula_of(3, [1, 2], [-1, 3], [2, -3])
+        pairs = ((Formula(WIDE_HEADER.num_vars, tight.clauses), tight),
+                 (WIDE_HEADER, Formula(5, WIDE_HEADER.clauses)))
+        for seed in (0, 1, derive_seed(19, 2)):
+            for rate in self.RATES:
+                for wide, narrow in pairs:
+                    out = clause_resolution(wide, rate, seed)
+                    assert out.clauses == clause_resolution(narrow, rate, seed).clauses
+                    assert out.num_vars == wide.num_vars
+
     def test_non_canonical_inputs_keep_label_and_model_count(self, rng):
         # a repeated literal is one occurrence here, so pivot weights (and the
         # draws) may differ from the tuple reference; the semantics may not
