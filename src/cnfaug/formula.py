@@ -7,7 +7,7 @@ duplicates removed; the empty clause represents falsum.  A formula is an
 ordered sequence of clauses over a declared variable count; duplicate
 clauses are permitted and clause order is preserved by every operation.
 The :class:`Formula` constructor makes every clause canonical; the parser's
-fast path, the SR generator and every augmentation kind build canonical
+fast path, every generator and every augmentation kind build canonical
 clauses themselves and store them through the unchecked ``_canonical``.
 
 The search and elimination engines work on one integer bitmask per clause:
@@ -118,14 +118,15 @@ def is_tautology(clause: Clause) -> bool:
 class Formula:
     """An immutable CNF formula: a declared variable count plus clauses.
 
-    Literals must be integers (``bool`` and numpy integers are stored as
-    ``int``) referencing variables in ``1..num_vars``.  The constructor
-    stores every clause as :func:`make_clause` builds it, so formulas that
-    differ only in literal order or repeated literals are equal.
+    ``num_vars`` and the literals must be integers (``bool`` and numpy
+    integers are stored as ``int``), the literals referencing variables in
+    ``1..num_vars``.  The constructor stores every clause as
+    :func:`make_clause` builds it, so formulas that differ only in literal
+    order or repeated literals are equal.
 
     The private :meth:`_canonical` stores its arguments with no check.  It
     is only for clauses of plain ``int`` literals that are already canonical
-    and in range: the parser's fast path, the SR generator and every
+    and in range: the parser's fast path, every generator and every
     augmentation kind.
     """
 
@@ -133,15 +134,15 @@ class Formula:
     clauses: tuple[Clause, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
+        num_vars = index(self.num_vars)
+        if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         clauses = tuple(tuple(clause) for clause in self.clauses)
         for clause in clauses:
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(
-                        f"literal {lit} out of range for {self.num_vars} variables"
-                    )
+                if lit == 0 or abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit} out of range for {num_vars} variables")
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", tuple(map(make_clause, clauses)))
 
     @classmethod

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._stream import Stream
-from .formula import Formula, Label, make_clause, parse_dimacs, serialize_dimacs
+from .formula import Formula, Label, parse_dimacs, serialize_dimacs
 from .oracle import solve_dpll
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -44,22 +44,16 @@ PR40 = dict(num_vars=40, num_clauses=147, clause_len=3, power_exponent=2.5)
 # at least two literals and SR instances contain no unit clauses.
 SR_BERNOULLI_P = 0.3
 SR_GEOMETRIC_P = 0.4
-# numpy's inversion sampler for binomial(1, p) compares one uniform with the
-# probability of 0, computed as exp(n log q), and then of 1
-_SR_Q = 1.0 - SR_BERNOULLI_P
-_SR_P0 = math.exp(math.log(_SR_Q))
-_SR_P1 = SR_BERNOULLI_P * _SR_P0 / _SR_Q
+# numpy's inversion sampler for binomial(1, p) returns 0 for a uniform u up to
+# P0 = exp(n log q), else 1 unless u - P0 exceeds p * P0 / q, when it redraws.
+# u - P0 is exact for u in (P0, 1) (Sterbenz's lemma) and within p * P0 / q
+# even at the largest u below 1, so the redraw is never reached at this p.
+_SR_P0 = math.exp(math.log(1.0 - SR_BERNOULLI_P))
 
 
 def _sr_bernoulli(stream: Stream) -> int:
-    """``Generator.binomial(1, SR_BERNOULLI_P)``: a uniform past both
-    outcomes' probabilities is redrawn, as numpy does."""
-    while True:
-        u = stream.random()
-        if u <= _SR_P0:
-            return 0
-        if u - _SR_P0 <= _SR_P1:
-            return 1
+    """``Generator.binomial(1, SR_BERNOULLI_P)`` in one comparison."""
+    return int(stream.random() > _SR_P0)
 
 
 def _sr_geometric(stream: Stream) -> int:
@@ -161,28 +155,28 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
     while True:
         width = min(1 + _sr_bernoulli(stream) + _sr_geometric(stream), n)
-        variables = stream.sample(n, width)
-        clause = make_clause(-v - 1 if stream.integers(2) else v + 1 for v in variables)
+        literals = [-v - 1 if stream.integers(2) else v + 1 for v in stream.sample(n, width)]
+        clause = tuple(sorted(literals, key=abs))  # distinct variables: canonical
         clauses.append(clause)
         if model is not None and any(model[abs(lit)] == (lit > 0) for lit in clause):
             continue  # the model satisfies the whole prefix, so it is still SAT
-        result = solve_dpll(Formula._canonical(n, tuple(clauses)))
+        prefix = Formula._canonical(n, tuple(clauses))
+        result = solve_dpll(prefix)
         if result.label is Label.UNSAT:
             break
         model = result.assignment
 
-    unsat_formula = Formula._canonical(n, tuple(clauses))
-    final = clauses[-1]
-    flip_at = stream.integers(len(final))
-    flipped = tuple(-lit if i == flip_at else lit for i, lit in enumerate(final))
-    sat_formula = Formula._canonical(n, tuple(clauses[:-1]) + (flipped,))
+    # the last prefix solved is the UNSAT instance, and ``clause`` its final clause
+    flip_at = stream.integers(len(clause))
+    flipped = tuple(-lit if i == flip_at else lit for i, lit in enumerate(clause))
+    sat_formula = Formula._canonical(n, prefix.clauses[:-1] + (flipped,))
 
     if solve_dpll(sat_formula).label is not Label.SAT:
         raise RuntimeError("SR invariant violated: flipped twin is not satisfiable")
     meta = {"family": GenFamily.SR.value, "seed": seed, "num_vars": n}
     return (
         LabeledInstance(sat_formula, Label.SAT, {**meta, "role": "sat"}),
-        LabeledInstance(unsat_formula, Label.UNSAT, {**meta, "role": "unsat"}),
+        LabeledInstance(prefix, Label.UNSAT, {**meta, "role": "unsat"}),
     )
 
 
@@ -194,9 +188,9 @@ def _random_ksat(
     stream = Stream(seed)
     clauses = []
     for _ in range(num_clauses):
-        variables = draw(stream)
-        clauses.append([-v if stream.integers(2) else v for v in variables])
-    formula = Formula(num_vars, tuple(clauses))
+        literals = [-v if stream.integers(2) else v for v in draw(stream)]
+        clauses.append(tuple(sorted(literals, key=abs)))  # distinct variables: canonical
+    formula = Formula._canonical(num_vars, tuple(clauses))
     label = solve_dpll(formula).label
     meta = {"family": family.value, "seed": seed, "num_vars": num_vars,
             "num_clauses": num_clauses, "clause_len": clause_len, **params}

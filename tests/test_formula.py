@@ -9,11 +9,13 @@ from cnfaug import (
     DimacsError,
     DimacsWarning,
     Formula,
+    Label,
     is_tautology,
     make_clause,
     parse_dimacs,
     satisfies,
     serialize_dimacs,
+    solve_dpll,
 )
 from conftest import formula_of, random_formula, small_formulas
 
@@ -125,6 +127,22 @@ def test_integer_literals_are_stored_as_int():
     f = Formula(2, ((True,), (np.int64(1), np.int64(-2))))
     assert all(type(lit) is int for clause in f.clauses for lit in clause)
     assert serialize_dimacs(f) == "p cnf 2 2\n1 0\n1 -2 0\n"
+
+
+def test_integer_num_vars_is_stored_as_int():
+    # a numpy count would wrap in positive_bits from 32 variables on
+    f = Formula(np.int64(33), ((1,), (-1, 33), (-33,)))
+    assert type(f.num_vars) is int
+    assert solve_dpll(f).label is Label.UNSAT
+    f = Formula(True, ((1,),))
+    assert type(f.num_vars) is int
+    assert serialize_dimacs(f) == "p cnf 1 1\n1 0\n"
+
+
+@pytest.mark.parametrize("num_vars", [2.5, 2.0, np.float64(3), "2"], ids=repr)
+def test_non_integer_num_vars_is_refused(num_vars):
+    with pytest.raises(TypeError):
+        Formula(num_vars, [(1, 2)])
 
 
 @pytest.mark.parametrize("literal", [1.5, 1.0, "1"], ids=repr)

@@ -24,7 +24,14 @@ from cnfaug import (
     write_corpus,
 )
 from cnfaug._stream import Stream
-from cnfaug.gen import PR40, SR_BERNOULLI_P, SR_GEOMETRIC_P, _sr_bernoulli, _sr_geometric
+from cnfaug.gen import (
+    PR40,
+    SR_BERNOULLI_P,
+    SR_GEOMETRIC_P,
+    _SR_P0,
+    _sr_bernoulli,
+    _sr_geometric,
+)
 from conftest import PR10, UR12, seeded_rng
 
 
@@ -164,6 +171,13 @@ def test_sr_width_replays_match_generator():
         assert stream.random() == rng.random()
 
 
+def test_sr_bernoulli_never_redraws():
+    # numpy redraws when u - P0 exceeds the probability of 1; _sr_bernoulli
+    # skips that test, which holds only while the largest uniform below 1
+    # passes it
+    assert math.nextafter(1.0, 0.0) - _SR_P0 <= SR_BERNOULLI_P * _SR_P0 / (1.0 - SR_BERNOULLI_P)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GenSpec(GenFamily.UR, 10)  # clause count required
@@ -219,6 +233,19 @@ def test_generators_raise_gen_spec_messages(generator, args, message):
     assert str(info.value) == message
 
 
+def assert_stored_as_constructed(instances):
+    # the generators store their clauses without the constructor's check
+    for inst in instances:
+        f = inst.formula
+        assert Formula(f.num_vars, f.clauses).clauses == f.clauses
+        assert all(type(lit) is int for clause in f.clauses for lit in clause)
+
+
+def test_ur_and_pr_clauses_are_what_the_constructor_stores(ur_corpus, pr_corpus):
+    pr40 = gen_corpus(GenSpec(GenFamily.PR, **PR40), 20, 40)
+    assert_stored_as_constructed([*ur_corpus, *pr_corpus, *pr40])
+
+
 class TestSr:
     def test_pair_differs_in_exactly_one_literal(self):
         for seed in range(30):
@@ -258,12 +285,8 @@ class TestSr:
         assert gen_sr(10, 5) == gen_sr(10, 5)
 
     def test_clauses_are_what_the_constructor_stores(self, sr_corpus):
-        # gen_sr stores its clauses without the constructor's check
         sr12 = gen_corpus(GenSpec(GenFamily.SR, 12), 100, 12)
-        for inst in [*sr_corpus, *sr12]:
-            f = inst.formula
-            assert Formula(f.num_vars, f.clauses).clauses == f.clauses
-            assert all(type(lit) is int for clause in f.clauses for lit in clause)
+        assert_stored_as_constructed([*sr_corpus, *sr12])
 
     def test_matches_solve_every_clause_reference(self):
         for num_vars, seed in SR_IDENTITY_CASES:
