@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import index
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -80,7 +81,9 @@ class GenFamily(Enum):
 class GenSpec:
     """Parameters of one generator family; ``num_vars`` may be an inclusive
     ``(lo, hi)`` range for SR.  The only place generator parameters are
-    checked: ``gen_sr``, ``gen_ur`` and ``gen_pr`` build one too."""
+    checked: ``gen_sr``, ``gen_ur`` and ``gen_pr`` build one and read their
+    parameters back from it.  Counts are stored as plain ``int`` through
+    :func:`operator.index`, as :class:`Formula` stores ``num_vars``."""
 
     family: GenFamily
     num_vars: int | tuple[int, int]
@@ -89,6 +92,13 @@ class GenSpec:
     power_exponent: float | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.num_vars, tuple):
+            object.__setattr__(self, "num_vars", tuple(map(index, self.num_vars)))
+        else:
+            object.__setattr__(self, "num_vars", index(self.num_vars))
+        for name in ("num_clauses", "clause_len"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, index(getattr(self, name)))
         lo = self.num_vars[0] if isinstance(self.num_vars, tuple) else self.num_vars
         if lo < 1:
             raise ValueError("num_vars must be positive")
@@ -144,12 +154,11 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     falsifies the final clause, hence satisfies the negated literal).  The
     final UNSAT solve and a solve of the twin confirm both labels.
     """
-    GenSpec(GenFamily.SR, num_vars)
+    spec = GenSpec(GenFamily.SR, num_vars)
     stream = Stream(seed)
-    if isinstance(num_vars, tuple):
-        n = num_vars[0] + stream.integers(num_vars[1] + 1 - num_vars[0])
-    else:
-        n = num_vars
+    n = spec.num_vars
+    if isinstance(n, tuple):
+        n = n[0] + stream.integers(n[1] + 1 - n[0])
 
     clauses: list[tuple[int, ...]] = []
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
@@ -180,31 +189,30 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     )
 
 
-def _random_ksat(
-    family: GenFamily, num_vars: int, num_clauses: int, clause_len: int, seed: int, draw, **params
-) -> LabeledInstance:
-    """Random k-SAT instance with an oracle-assigned label: each clause takes
-    its variables from ``draw(stream)`` and a fair-coin polarity for each."""
+def _random_ksat(spec: GenSpec, seed: int, draw, **params) -> LabeledInstance:
+    """Random k-SAT instance with an oracle-assigned label: each of the
+    spec's clauses takes its variables from ``draw(stream)`` and a fair-coin
+    polarity for each."""
     stream = Stream(seed)
     clauses = []
-    for _ in range(num_clauses):
+    for _ in range(spec.num_clauses):
         literals = [-v if stream.integers(2) else v for v in draw(stream)]
         clauses.append(tuple(sorted(literals, key=abs)))  # distinct variables: canonical
-    formula = Formula._canonical(num_vars, tuple(clauses))
+    formula = Formula._canonical(spec.num_vars, tuple(clauses))
     label = solve_dpll(formula).label
-    meta = {"family": family.value, "seed": seed, "num_vars": num_vars,
-            "num_clauses": num_clauses, "clause_len": clause_len, **params}
+    meta = {"family": spec.family.value, "seed": seed, "num_vars": spec.num_vars,
+            "num_clauses": spec.num_clauses, "clause_len": spec.clause_len, **params}
     return LabeledInstance(formula, label, meta)
 
 
 def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
     """Uniform random k-SAT instance with an oracle-assigned label."""
-    GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
+    spec = GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
 
     def draw(stream: Stream) -> list[int]:
-        return [v + 1 for v in stream.sample(num_vars, clause_len)]
+        return [v + 1 for v in stream.sample(spec.num_vars, spec.clause_len)]
 
-    return _random_ksat(GenFamily.UR, num_vars, num_clauses, clause_len, seed, draw)
+    return _random_ksat(spec, seed, draw)
 
 
 def _power_weights(num_vars: int, exponent: float) -> np.ndarray:
@@ -223,20 +231,18 @@ def gen_pr(
 
     Distinct variables per clause are enforced by redrawing duplicates.
     """
-    GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
-    cdf = Stream.cdf(_power_weights(num_vars, power_exponent).tolist())
+    spec = GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
+    cdf = Stream.cdf(_power_weights(spec.num_vars, spec.power_exponent).tolist())
 
     def draw(stream: Stream) -> list[int]:
         chosen: list[int] = []
-        while len(chosen) < clause_len:
+        while len(chosen) < spec.clause_len:
             v = stream.pick(cdf) + 1
             if v not in chosen:
                 chosen.append(v)
         return chosen
 
-    return _random_ksat(
-        GenFamily.PR, num_vars, num_clauses, clause_len, seed, draw, power_exponent=power_exponent
-    )
+    return _random_ksat(spec, seed, draw, power_exponent=spec.power_exponent)
 
 
 def gen_corpus(spec: GenSpec, count: int, seed: int) -> list[LabeledInstance]:

@@ -309,12 +309,12 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``, as in the module docstring):
     a resolvent on ``v`` is ``(a ^ p) | (b ^ n)`` for the pivot bits ``p``
     and ``n``, and it is a tautology when ``r & (r >> 1)`` has an even bit
-    set.  Only the chosen variable's resolvents are decoded; kept clauses
-    stay in place.
+    set.  The steps keep masks only; the result is decoded once, an input
+    clause through a map from its mask and a resolvent by ``clause_of_mask``.
     """
     requested = max(1, _ceil_count(rate, formula.num_vars))
-    clauses = list(formula.clauses)
-    masks = [clause_mask(c) for c in clauses]
+    masks = [clause_mask(c) for c in formula.clauses]
+    decoded = dict(zip(masks, formula.clauses))
     even = positive_bits(formula.num_vars)
     remaining = set(range(1, formula.num_vars + 1))
     stream = Stream(seed)
@@ -332,9 +332,7 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
         candidates = list(plans)
         var = candidates[stream.integers(len(candidates))]
         dropped = set(occurrences[2 * var - 2]).union(occurrences[2 * var - 1])
-        kept = [i for i in range(len(masks)) if i not in dropped]
-        clauses = [clauses[i] for i in kept] + [clause_of_mask(r) for r in plans[var]]
-        masks = [masks[i] for i in kept] + plans[var]
+        masks = [m for i, m in enumerate(masks) if i not in dropped] + plans[var]
         remaining.remove(var)
         eliminated += 1
     if eliminated < requested:
@@ -344,4 +342,5 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
             eliminated,
             requested,
         )
-    return Formula._canonical(formula.num_vars, tuple(clauses))
+    clauses = tuple(decoded[m] if m in decoded else clause_of_mask(m) for m in masks)
+    return Formula._canonical(formula.num_vars, clauses)

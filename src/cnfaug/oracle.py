@@ -6,11 +6,12 @@ uses as a proxy difficulty measure.  It searches on one integer bitmask per
 clause (the literal-bit convention of :mod:`cnfaug.formula`): a conflict is
 an empty mask, a unit a mask with one bit set, the pure and active variables
 come from the OR of all masks, and assigning a literal is one filter and one
-AND over the clause list.  The brute-force routines enumerate all
-``2**num_vars`` assignments at once, one bit per assignment in a Python
-integer per variable, and serve as the independent oracle for property
-tests; with no search and no propagation, they share no code path with the
-DPLL search.
+AND over the clause list.  Only unit steps check for an empty clause: a
+branch falsifies one literal of clauses that all hold two or more.  The
+brute-force routines enumerate all ``2**num_vars`` assignments at once, one
+bit per assignment in a Python integer per variable, and serve as the
+independent oracle for property tests; with no search and no propagation,
+they share no code path with the DPLL search.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class SolveResult:
     propagations: int
 
 
-def _assign(clauses: list[int], lit: int, comp: int) -> list[int] | None:
-    """Set the literal bit ``lit`` true (``comp`` is its complement); ``None``
-    when a clause becomes empty."""
-    keep = ~comp
-    reduced = [c & keep for c in clauses if not c & lit]
-    return None if 0 in reduced else reduced
-
-
 class _Search:
     def __init__(self, num_vars: int):
         self.even = positive_bits(num_vars)
@@ -65,9 +58,9 @@ class _Search:
             if unit:
                 self.propagations += 1
                 trail |= unit
-                comp = unit << 1 if unit & self.even else unit >> 1
-                clauses = _assign(clauses, unit, comp)
-                if clauses is None:
+                keep = ~(unit << 1 if unit & self.even else unit >> 1)
+                clauses = [c & keep for c in clauses if not c & unit]
+                if 0 in clauses:
                     return None
                 continue
 
@@ -83,7 +76,8 @@ class _Search:
                 continue
 
             # Branch on the lowest-indexed variable still active (no variable
-            # is pure, so pos holds them all), true first.
+            # is pure, so pos holds them all), true first.  No clause is a
+            # unit here, so falsifying one literal leaves none empty.
             low = pos & -pos
             for lit, comp in ((low, low << 1), (low << 1, low)):
                 self.decisions += 1
@@ -91,10 +85,8 @@ class _Search:
                     raise OracleBudgetError(
                         f"decision budget of {MAX_DECISIONS} exhausted"
                     )
-                reduced = _assign(clauses, lit, comp)
-                if reduced is None:
-                    continue
-                result = self.run(reduced, trail | lit)
+                keep = ~comp
+                result = self.run([c & keep for c in clauses if not c & lit], trail | lit)
                 if result is not None:
                     return result
             return None

@@ -62,6 +62,13 @@ def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_zero_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run_gen(out, "--count", "0") == EXIT_USAGE
+    assert "error: count must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_negative_clause_count_is_usage_error(tmp_path, capsys):
     out = tmp_path / "corpus"
     argv = ["gen", "--family", "ur", "--vars", "12", "--clauses", "-1", "--k", "3", "--out", str(out)]

@@ -205,6 +205,12 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n1 x 0")
 
 
+def test_non_integer_header_count_is_a_malformed_header():
+    # the fast path refuses it and the line parser's int() raises
+    with pytest.raises(DimacsError, match="^line 1: malformed header 'p cnf x 2'$"):
+        parse_dimacs("p cnf x 2\n1 0\n")
+
+
 def test_clause_count_mismatch_warns():
     with pytest.warns(DimacsWarning):
         f = parse_dimacs("p cnf 2 5\n1 -2 0")

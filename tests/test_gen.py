@@ -189,6 +189,43 @@ def test_spec_validation():
         GenSpec(GenFamily.SR, 1)
 
 
+def test_ur_and_pr_refuse_a_variable_range():
+    for family, extra in ((GenFamily.UR, {}), (GenFamily.PR, {"power_exponent": 1.7})):
+        with pytest.raises(ValueError, match=f"^{family.value} takes a fixed variable count$"):
+            GenSpec(family, (3, 5), num_clauses=5, clause_len=3, **extra)
+
+
+def test_spec_stores_numpy_counts_as_int():
+    spec = GenSpec(GenFamily.UR, np.int64(12), num_clauses=np.int64(51), clause_len=np.int32(3))
+    assert (spec.num_vars, spec.num_clauses, spec.clause_len) == (12, 51, 3)
+    assert all(type(v) is int for v in (spec.num_vars, spec.num_clauses, spec.clause_len))
+    sr = GenSpec(GenFamily.SR, (np.int64(8), np.int64(11)))
+    assert sr.num_vars == (8, 11) and all(type(v) is int for v in sr.num_vars)
+
+
+def test_generators_take_numpy_counts():
+    # the counts used to reach the formula and the solver as numpy integers
+    assert gen_ur(np.int64(40), 100, 3, 1) == gen_ur(40, 100, 3, 1)
+    assert gen_sr(np.int64(40), 1) == gen_sr(40, 1)
+    assert gen_sr((np.int64(8), np.int64(11)), 2) == gen_sr((8, 11), 2)
+    assert gen_pr(np.int64(10), np.int64(41), np.int64(3), 1.7, 1) == gen_pr(10, 41, 3, 1.7, 1)
+    for inst in (gen_ur(np.int64(12), np.int64(51), np.int64(3), 1), *gen_sr(np.int64(10), 1)):
+        assert type(inst.formula.num_vars) is int
+        assert all(type(inst.meta[k]) is int for k in ("num_vars", "num_clauses", "clause_len") if k in inst.meta)
+
+
+def test_numpy_counts_write_an_int_manifest(tmp_path):
+    corpora = {}
+    for name, n in (("numpy", np.int64(12)), ("int", 12)):
+        corpus = gen_corpus(GenSpec(GenFamily.UR, n, num_clauses=51, clause_len=3), 2, 1)
+        write_corpus(corpus, tmp_path / name, run_header={"command": "test"})
+        corpora[name] = corpus
+    assert [i.formula for i in corpora["numpy"]] == [i.formula for i in corpora["int"]]
+    assert read_manifest(tmp_path / "numpy") == read_manifest(tmp_path / "int")
+    for record in read_manifest(tmp_path / "numpy")[1:]:
+        assert all(type(record[k]) is int for k in ("num_vars", "num_clauses", "clause_len"))
+
+
 def test_negative_clause_counts_are_refused():
     for make in (
         lambda: gen_ur(12, -1, 3, 0),
@@ -384,6 +421,11 @@ class TestCorpus:
         assert [i.formula for i in a] == [i.formula for i in b]
         assert [i.label for i in a] == [i.label for i in b]
 
+    def test_count_below_one_is_refused(self):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="^count must be at least 1$"):
+                gen_corpus(GenSpec(GenFamily.UR, **UR12), count, 1)
+
     def test_count_one_uses_derived_seed_zero(self):
         spec = GenSpec(GenFamily.UR, **UR12)
         corpus = gen_corpus(spec, 1, 99)
@@ -425,6 +467,15 @@ class TestCorpus:
             assert record["type"] == "instance"
             assert set(record) >= {"path", "label", "family", "seed"}
             assert json.dumps(record)  # serializable
+
+    def test_load_skips_the_run_record(self, tmp_path, ur_corpus):
+        # every corpus that `cnfaug gen` writes starts with a run record
+        write_corpus(ur_corpus[:3], tmp_path / "c", run_header={"command": "gen"})
+        assert read_manifest(tmp_path / "c")[0]["type"] == "run"
+        loaded = load_corpus(tmp_path / "c")
+        assert [i.formula for i in loaded] == [i.formula for i in ur_corpus[:3]]
+        assert [i.label for i in loaded] == [i.label for i in ur_corpus[:3]]
+        assert [i.meta for i in loaded] == [i.meta for i in ur_corpus[:3]]
 
     def test_external_manifest_accepted(self, tmp_path):
         corpus = tmp_path / "ext"

@@ -580,7 +580,8 @@ def reference_unit_propagate(formula, rate, seed):
         if not unit_positions:
             break
         pick = unit_positions[int(rng.integers(len(unit_positions)))]
-        clauses = lpa._delete_literal(clauses, clauses[pick][0])
+        lit = clauses[pick][0]
+        clauses = [tuple(x for x in c if x != -lit) for c in clauses if lit not in c]
     return Formula(formula.num_vars, tuple(clauses))
 
 
