@@ -620,3 +620,71 @@ def test_the_pipelines_own_files_take_the_fast_path(tmp_path, monkeypatch):
     for path in written:
         text = path.read_text()
         assert serialize_dimacs(parse_dimacs(text)) == text
+
+
+# Runs whose every output byte is pinned, in order: each later run reads the
+# files of an earlier one.  Each augment view differs from its input.
+PINNED_RUNS = [
+    ("sr10", ["gen", "--family", "sr", "--vars", "10", "--count", "2", "--seed", "1"]),
+    ("sr8-12", ["gen", "--family", "sr", "--vars", "8:12", "--count", "2", "--seed", "2"]),
+    ("ur12", ["gen", "--family", "ur", "--vars", "12", "--clauses", "51", "--k", "3",
+              "--count", "3", "--seed", "3"]),
+    ("pr10", ["gen", "--family", "pr", "--vars", "10", "--clauses", "41", "--k", "3",
+              "--exp", "1.7", "--count", "3", "--seed", "4"]),
+    ("AU", ["augment", "--input", "sr10/*.cnf", "--chain", "AU:0.2:1"]),
+    ("UP", ["augment", "--input", "AU/*.cnf", "--chain", "UP:1:2"]),  # AU adds a unit clause
+    ("SC", ["augment", "--input", "AU/*.cnf", "--chain", "SC"]),  # which subsumes AU's extras
+    ("CR", ["augment", "--input", "ur12/*.cnf", "--chain", "CR:0.2:4"]),
+    ("VE", ["augment", "--input", "sr8-12/*.cnf", "--chain", "VE:0.3:5"]),
+    ("DC", ["augment", "--input", "sr10/*.cnf", "--chain", "DC:0.2:6"]),
+    ("DV", ["augment", "--input", "ur12/*.cnf", "--chain", "DV:0.2:7"]),
+    ("LP", ["augment", "--input", "pr10/*.cnf", "--chain", "LP:0.1:8"]),
+    ("SG", ["augment", "--input", "sr8-12/*.cnf", "--chain", "SG:0.5:9"]),
+    ("PL", ["augment", "--input", "SG/*.cnf", "--chain", "PL:0.5:3"]),  # subgraphs have pure literals
+    ("pair", ["pair", "--input", "sr10/00001_unsat.cnf", "--chain1", "VE:0.3:1",
+              "--chain2", "DC:0.2:2"]),
+    ("graph", ["export", "--input", "sr10/00000_sat.cnf"]),
+]
+PINNED_DIGESTS = {
+    "sr10": "784762d4911bd428def9e17e1e992a8b42038178a15ca287ca72f2a6f2318f4e",
+    "sr8-12": "7b3246d3082edd6937f2413421444defd047ee903b1ce1afffe399635179fb6c",
+    "ur12": "cac6ca4f4aa514ced03f47a8d3504b2ccf33c4708c3643f72cd42562f319afd8",
+    "pr10": "31e95e1bafd66c43a5a07984993e3a4eec59829758ae5b84d510c66b6c161a1e",
+    "AU": "d0d398eca889b4e29b46a88e86517b5bb78f74d54976c0b993f8c1a1f3662ea4",
+    "UP": "cddcaec67532a4ee1938a951bdc72fc1b4f6513e1e70ec95d7921e8260a52528",
+    "SC": "2bdcaf724e0096661f70aa52f7939f4962493b61de21b70213d1e97ab3e47766",
+    "CR": "be8cacf4cdf0b2b48e3cc44e0b428562b0b9f55d96cffbbc402cebd68e4ee546",
+    "VE": "460905c2749223e257875a6db3d45848dc53bd992e40e7a98112e45cad84de37",
+    "DC": "2a5aeb2ed96a4294f3cdbed3be9638429e83421379f6e79bc7b0fa0fbff0e917",
+    "DV": "66cb7fe01a3b7815cdc3fa92e3170911179cddc0ae09f4d229ecb0bc70b7ddd5",
+    "LP": "50fe7214ff96e30e895f41b207e3782066d77b210f1c3db70c061461c820ec82",
+    "SG": "9c8cccf61d431678ce871be814b90bd782569726404ae158e83902bb1d8ccd32",
+    "PL": "2ea5d4285ca432c477db5db7c43676b56415452407ff0b434a3d66572080dcd4",
+    "pair": "dad608caa2aa95e7e02ffea02709b206e04fcb1b2e59ca89f78511c625b828a7",
+    "graph": "d534c36e04ae5ad9bc0ce9bf13e8ea694df0b6a409c462e2157630ea82721ae9",
+}
+
+
+def run_digest(out: Path) -> str:
+    """sha256 over the name and sha256 of every file a run wrote, then its
+    manifest's instance records; the run record, which holds the version,
+    is left out."""
+    digest = hashlib.sha256()
+    for name, file_digest in tree_digest(out).items():
+        if name != "manifest.jsonl":
+            digest.update(f"{name} {file_digest}\n".encode())
+    for line in (out / "manifest.jsonl").read_text().splitlines(keepends=True):
+        if json.loads(line)["type"] == "instance":
+            digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_same_flags_give_the_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths, so the manifests' inputs do not vary
+    for out, argv in PINNED_RUNS:
+        assert main([*argv, "--out", out]) == EXIT_OK
+        if argv[0] == "augment":
+            source = Path(argv[2]).parent
+            for view in Path(out).glob("*.cnf"):
+                assert view.read_bytes() != (source / view.name).read_bytes()
+    assert {out: run_digest(Path(out)) for out, _ in PINNED_RUNS} == PINNED_DIGESTS
