@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .chains import ChainParseError, apply_chain, parse_chain
 from .formula import Formula, clause_mask, parse_dimacs, serialize_dimacs
-from .gen import GenFamily, GenSpec, append_manifest, gen_corpus, write_corpus
+from .gen import GenFamily, GenSpec, gen_corpus, write_corpus, write_run
 from .graph import build_lig, export_graph
 from .lpa import strict_supersets
 from .oracle import OracleBudgetError, solve_dpll
@@ -137,7 +137,7 @@ def _write_each(args, output_name, write, noun: str, **fields) -> int:
         record["output"] = names[path]
 
     records, code = _each_file(inputs, work, output=None, **fields)
-    append_manifest(out, _run_header(args.command, args._argv), records)
+    write_run(out, _run_header(args.command, args._argv), records)
     failures = sum(1 for r in records if r["status"] == "error")
     print(f"{args.command}ed {len(records) - failures}/{len(records)} {noun} into {out}")
     return code
@@ -307,17 +307,12 @@ def cmd_pair(args) -> int:
     _refuse_existing(out, names)
     try:
         formula = _read_formula(path)
-        view1, view2 = apply_chain(formula, chain1), apply_chain(formula, chain2)
+        views = [apply_chain(formula, chain1), apply_chain(formula, chain2)]
     except ValueError as exc:
         raise _DataError(f"{path}: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
-    (out / names[0]).write_text(serialize_dimacs(view1), encoding="utf-8")
-    (out / names[1]).write_text(serialize_dimacs(view2), encoding="utf-8")
-    records = [
-        {"input": str(path), "chain": args.chain1, "output": names[0], "status": "ok"},
-        {"input": str(path), "chain": args.chain2, "output": names[1], "status": "ok"},
-    ]
-    append_manifest(out, _run_header("pair", args._argv), records)
+    records = [{"input": str(path), "chain": chain, "output": name, "status": "ok"}
+               for chain, name in zip((args.chain1, args.chain2), names)]
+    write_run(out, _run_header("pair", args._argv), records, zip(names, views))
     print(f"wrote {names[0]} and {names[1]} to {out}")
     return EXIT_OK
 

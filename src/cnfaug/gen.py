@@ -287,33 +287,36 @@ def write_corpus(
     Manifest records carry path (relative to the directory), label, family,
     seed, and the remaining generator parameters.  Raises
     :class:`FileExistsError`, before writing anything, when the directory
-    already holds a manifest or a file of one of the instance names.
+    already holds a manifest or a file of one of the instance names, and
+    serializes every record before it writes a file (:func:`write_run`).
     Returns the manifest path.
     """
     out = Path(out_dir)
-    manifest = out / MANIFEST_NAME
-    names = [f"{i:05d}_{inst.label.value}.cnf" for i, inst in enumerate(instances)]
-    used = next((p for p in (manifest, *(out / name for name in names)) if p.exists()), None)
+    files = [(f"{i:05d}_{inst.label.value}.cnf", inst.formula) for i, inst in enumerate(instances)]
+    used = next((n for n in (MANIFEST_NAME, *(n for n, _ in files)) if (out / n).exists()), None)
     if used is not None:
-        raise FileExistsError(f"{out} already holds {used.name}")
-    out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for name, inst in zip(names, instances):
-        (out / name).write_text(serialize_dimacs(inst.formula), encoding="utf-8")
-        records.append({"path": name, "label": inst.label.value, **inst.meta})
-    return append_manifest(out, run_header, records)
+        raise FileExistsError(f"{out} already holds {used}")
+    records = [{"path": name, "label": inst.label.value, **inst.meta}
+               for (name, _), inst in zip(files, instances)]
+    return write_run(out, run_header, records, files)
 
 
-def append_manifest(out_dir: Path, run_header: dict | None, records: Iterable[dict]) -> Path:
-    """Append a ``run`` record (when a header is given) and one ``instance``
-    record per entry to the directory's manifest; returns the manifest path."""
-    manifest = out_dir / MANIFEST_NAME
-    with open(manifest, "a", encoding="utf-8") as mh:
-        if run_header is not None:
-            mh.write(json.dumps({"type": "run", **run_header}, sort_keys=True) + "\n")
-        for record in records:
-            mh.write(json.dumps({"type": "instance", **record}, sort_keys=True) + "\n")
-    return manifest
+def write_run(out_dir: Path, run_header: dict | None, records: Iterable[dict],
+              files: Iterable[tuple[str, Formula]] = ()) -> Path:
+    """Serialize a ``run`` record (when a header is given) and one
+    ``instance`` record per entry, then create ``out_dir``, write each
+    ``(name, formula)`` of ``files`` as DIMACS and append the records to the
+    manifest in one write, so a record that cannot be serialized leaves
+    ``out_dir`` as it was.  Returns the manifest path."""
+    header = [] if run_header is None else [{"type": "run", **run_header}]
+    text = "".join(json.dumps(record, sort_keys=True) + "\n"
+                   for record in header + [{"type": "instance", **r} for r in records])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, formula in files:
+        (out_dir / name).write_text(serialize_dimacs(formula), encoding="utf-8")
+    with open(out_dir / MANIFEST_NAME, "a", encoding="utf-8") as mh:
+        mh.write(text)
+    return out_dir / MANIFEST_NAME
 
 
 def read_manifest(corpus_dir: str | Path) -> list[dict]:
