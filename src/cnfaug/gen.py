@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from operator import index
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -80,10 +81,13 @@ class GenFamily(Enum):
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters of one generator family; ``num_vars`` may be an inclusive
-    ``(lo, hi)`` range for SR.  The only place generator parameters are
-    checked: ``gen_sr``, ``gen_ur`` and ``gen_pr`` build one and read their
-    parameters back from it.  Counts are stored as plain ``int`` through
-    :func:`operator.index`, as :class:`Formula` stores ``num_vars``."""
+    ``(lo, hi)`` range for SR, a tuple of exactly two ends with
+    ``2 <= lo <= hi`` (any other tuple raises :class:`ValueError`).  The only
+    place generator parameters are checked: ``gen_sr``, ``gen_ur`` and
+    ``gen_pr`` build one and read their parameters back from it.  Counts are
+    stored as plain ``int`` through :func:`operator.index`, as
+    :class:`Formula` stores ``num_vars``, and a real ``power_exponent`` as
+    ``float`` (anything else raises :class:`TypeError`)."""
 
     family: GenFamily
     num_vars: int | tuple[int, int]
@@ -93,12 +97,18 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.num_vars, tuple):
+            if len(self.num_vars) != 2:
+                raise ValueError("a variable range must have exactly two ends (lo, hi)")
             object.__setattr__(self, "num_vars", tuple(map(index, self.num_vars)))
         else:
             object.__setattr__(self, "num_vars", index(self.num_vars))
         for name in ("num_clauses", "clause_len"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, index(getattr(self, name)))
+        if self.power_exponent is not None:
+            if not isinstance(self.power_exponent, Real):
+                raise TypeError("power_exponent must be a real number")
+            object.__setattr__(self, "power_exponent", float(self.power_exponent))
         lo = self.num_vars[0] if isinstance(self.num_vars, tuple) else self.num_vars
         if lo < 1:
             raise ValueError("num_vars must be positive")
@@ -155,10 +165,9 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     final UNSAT solve and a solve of the twin confirm both labels.
     """
     spec = GenSpec(GenFamily.SR, num_vars)
+    lo, hi = spec.num_vars if isinstance(spec.num_vars, tuple) else (spec.num_vars,) * 2
     stream = Stream(seed)
-    n = spec.num_vars
-    if isinstance(n, tuple):
-        n = n[0] + stream.integers(n[1] + 1 - n[0])
+    n = lo + stream.integers(hi + 1 - lo)  # a bound of 1 draws nothing
 
     clauses: list[tuple[int, ...]] = []
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve

@@ -31,6 +31,7 @@ from cnfaug.gen import (
     _SR_P0,
     _sr_bernoulli,
     _sr_geometric,
+    write_run,
 )
 from conftest import PR10, UR12, seeded_rng
 
@@ -193,6 +194,41 @@ def test_ur_and_pr_refuse_a_variable_range():
     for family, extra in ((GenFamily.UR, {}), (GenFamily.PR, {"power_exponent": 1.7})):
         with pytest.raises(ValueError, match=f"^{family.value} takes a fixed variable count$"):
             GenSpec(family, (3, 5), num_clauses=5, clause_len=3, **extra)
+
+
+@pytest.mark.parametrize("num_vars", [(), (3,), (3, 5, 9)])
+def test_sr_range_needs_exactly_two_ends(num_vars):
+    # (3,) used to raise a bare IndexError, and (3, 5, 9) was read as (3, 5)
+    for make in (lambda: GenSpec(GenFamily.SR, num_vars), lambda: gen_sr(num_vars, 1)):
+        with pytest.raises(ValueError, match=r"^a variable range must have exactly two ends \(lo, hi\)$"):
+            make()
+
+
+def test_a_fixed_sr_count_is_the_one_value_range():
+    for n in (2, 3, 10):
+        for seed in range(20):
+            assert gen_sr(n, seed) == gen_sr((n, n), seed)
+
+
+def test_spec_stores_a_real_exponent_as_float():
+    for exponent in (2, 2.0, np.int64(2), np.float32(2.0)):
+        spec = GenSpec(GenFamily.PR, 10, num_clauses=41, clause_len=3, power_exponent=exponent)
+        assert type(spec.power_exponent) is float and spec.power_exponent == 2.0
+    for make in (
+        lambda: GenSpec(GenFamily.PR, 10, num_clauses=41, clause_len=3, power_exponent="2"),
+        lambda: gen_pr(10, 41, 3, "2", 1),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_numpy_exponent_writes_a_float_manifest(tmp_path):
+    # the exponent used to reach the manifest as a numpy integer and fail json.dumps
+    instance = gen_pr(10, 41, 3, np.int64(2), 1)
+    assert instance.formula == gen_pr(10, 41, 3, 2, 1).formula == gen_pr(10, 41, 3, 2.0, 1).formula
+    write_corpus([instance], tmp_path / "c", run_header={"command": "test"})
+    record = read_manifest(tmp_path / "c")[1]
+    assert type(record["power_exponent"]) is float and record["power_exponent"] == 2.0
 
 
 def test_spec_stores_numpy_counts_as_int():
@@ -458,6 +494,24 @@ class TestCorpus:
         (out / "manifest.jsonl").write_bytes(before["manifest.jsonl"])
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert load_corpus(out) == loaded
+
+    def test_unserializable_record_writes_nothing(self, tmp_path, ur_corpus):
+        bad = LabeledInstance(ur_corpus[1].formula, ur_corpus[1].label, {"note": object()})
+        out = tmp_path / "corpus"
+        with pytest.raises(TypeError):
+            write_corpus([ur_corpus[0], bad], out, run_header={"command": "test"})
+        assert not out.exists()
+
+    def test_unserializable_record_keeps_a_used_directory(self, tmp_path, ur_corpus):
+        out = tmp_path / "corpus"
+        write_corpus(ur_corpus[:2], out, run_header={"command": "test"})
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        files = [("extra.cnf", ur_corpus[2].formula)]
+        for header, record in (({"command": object()}, {"path": "extra.cnf"}),
+                               ({"command": "test"}, {"path": "extra.cnf", "note": object()})):
+            with pytest.raises(TypeError):
+                write_run(out, header, [record], files)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_manifest_records_are_json_lines_with_provenance(self, tmp_path, ur_corpus):
         write_corpus(ur_corpus[:3], tmp_path / "c", run_header={"command": "test"})

@@ -225,11 +225,7 @@ class TestPureLiteralEliminate:
         for _ in range(300):
             f = random_formula(rng, max_vars=10)
             for g in (f, non_canonical(f)):
-                polarity: dict[int, int] = {}
-                for clause in g.clauses:
-                    for lit in clause:
-                        polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
-                assert _pure_variables(g) == sorted(v for v, m in polarity.items() if m != 3)
+                assert _pure_variables(g) == reference_pure_variables(g)
 
     def test_wide_header_gives_the_clauses_of_a_tight_one(self):
         # the cost follows the literals that occur, not the declared count
@@ -605,8 +601,17 @@ def reference_add_unit_literal(formula, rate, seed):
     return Formula(fresh, ((lit,), *body, *extras))
 
 
+def reference_pure_variables(formula):
+    """Variables occurring in a single polarity, by a scan of the clauses."""
+    polarity: dict[int, int] = {}
+    for clause in formula.clauses:
+        for lit in clause:
+            polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
+    return sorted(v for v, m in polarity.items() if m != 3)
+
+
 def reference_pure_literal_eliminate(formula, rate, seed):
-    pure = _pure_variables(formula)
+    pure = reference_pure_variables(formula)
     count = lpa._ceil_count(rate, len(pure))
     if count == 0:
         return formula
