@@ -302,7 +302,7 @@ def write_corpus(
     """
     out = Path(out_dir)
     files = [(f"{i:05d}_{inst.label.value}.cnf", inst.formula) for i, inst in enumerate(instances)]
-    used = next((n for n in (MANIFEST_NAME, *(n for n, _ in files)) if (out / n).exists()), None)
+    used = next((n for n in (MANIFEST_NAME, *(f for f, _ in files)) if (out / n).exists()), None)
     if used is not None:
         raise FileExistsError(f"{out} already holds {used}")
     records = [{"path": name, "label": inst.label.value, **inst.meta}
