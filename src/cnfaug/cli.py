@@ -48,13 +48,6 @@ class _DataError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 1 for usage problems, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
-
 def _expand_inputs(patterns: list[str]) -> list[Path]:
     paths: set[Path] = set()
     for pattern in patterns:
@@ -146,11 +139,8 @@ def _write_each(args, output_name, write, noun: str, **fields) -> int:
 def cmd_gen(args) -> int:
     family = GenFamily(args.family.upper())
     try:
-        if family is GenFamily.SR and ":" in args.vars:
-            lo, hi = args.vars.split(":", 1)
-            num_vars: int | tuple[int, int] = (int(lo), int(hi))
-        else:
-            num_vars = int(args.vars)
+        lo, colon, hi = args.vars.partition(":")  # GenSpec refuses a range outside SR
+        num_vars = (int(lo), int(hi)) if colon else int(lo)
         if args.count < 1:
             raise ValueError("count must be at least 1")
         if args.seed < 0:
@@ -317,8 +307,8 @@ def cmd_pair(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cnfaug", description=__doc__.split("\n\n")[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cnfaug", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"cnfaug {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -372,10 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help / --version
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help / --version
+        return EXIT_USAGE if exc.code else EXIT_OK
     args._argv = argv
     try:
         return args.func(args)

@@ -87,7 +87,11 @@ class GenSpec:
     ``gen_pr`` build one and read their parameters back from it.  Counts are
     stored as plain ``int`` through :func:`operator.index`, as
     :class:`Formula` stores ``num_vars``, and a real ``power_exponent`` as
-    ``float`` (anything else raises :class:`TypeError`)."""
+    ``float`` (anything else raises :class:`TypeError`).  A parameter the
+    family does not use is refused: SR takes only ``num_vars``, UR no
+    ``power_exponent``.  PR is refused when fewer than ``clause_len``
+    variables can be drawn from its table at all (:func:`_drawable`);
+    ``gen_pr`` would redraw forever."""
 
     family: GenFamily
     num_vars: int | tuple[int, int]
@@ -109,6 +113,11 @@ class GenSpec:
             if not isinstance(self.power_exponent, Real):
                 raise TypeError("power_exponent must be a real number")
             object.__setattr__(self, "power_exponent", float(self.power_exponent))
+        unused = {GenFamily.SR: ("num_clauses", "clause_len", "power_exponent"),
+                  GenFamily.UR: ("power_exponent",)}.get(self.family, ())
+        for name in unused:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.family.value} takes no {name}")
         lo = self.num_vars[0] if isinstance(self.num_vars, tuple) else self.num_vars
         if lo < 1:
             raise ValueError("num_vars must be positive")
@@ -132,10 +141,9 @@ class GenSpec:
             if not math.isfinite(self.power_exponent):
                 raise ValueError("power_exponent must be finite")
             # gen_pr redraws until a clause has clause_len distinct variables
-            weights = _power_weights(self.num_vars, self.power_exponent)
-            if np.count_nonzero(weights) < self.clause_len:
+            if _drawable(_power_cdf(self.num_vars, self.power_exponent)) < self.clause_len:
                 raise ValueError(
-                    "power_exponent leaves fewer than clause_len variables with a non-zero weight"
+                    "power_exponent leaves fewer than clause_len variables that can be drawn"
                 )
 
 
@@ -229,6 +237,21 @@ def _power_weights(num_vars: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _power_cdf(num_vars: int, exponent: float) -> list[float]:
+    """The table ``gen_pr`` draws variable ``i + 1`` from with ``Stream.pick``."""
+    return Stream.cdf(_power_weights(num_vars, exponent).tolist())
+
+
+def _drawable(cdf: list[float]) -> int:
+    """How many indices ``Stream.pick(cdf)`` can return.  A draw is
+    ``u = j / 2**53`` with ``0 <= j < 2**53`` and picks ``i`` when
+    ``cdf[i-1] <= u < cdf[i]`` (``cdf[-1]`` read as 0), so ``i`` comes up
+    exactly when ``ceil(cdf[i-1] * 2**53) < cdf[i] * 2**53``; both products
+    are exact."""
+    scaled = [c * 2.0**53 for c in cdf]
+    return sum(1 for lo, hi in zip([0.0, *scaled], scaled) if math.ceil(lo) < hi)
+
+
 def gen_pr(
     num_vars: int,
     num_clauses: int,
@@ -241,7 +264,7 @@ def gen_pr(
     Distinct variables per clause are enforced by redrawing duplicates.
     """
     spec = GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
-    cdf = Stream.cdf(_power_weights(spec.num_vars, spec.power_exponent).tolist())
+    cdf = _power_cdf(spec.num_vars, spec.power_exponent)
 
     def draw(stream: Stream) -> list[int]:
         chosen: list[int] = []
@@ -344,12 +367,17 @@ def load_corpus(corpus_dir: str | Path) -> list[LabeledInstance]:
     """Load instances listed in a corpus manifest.
 
     Externally produced corpora work as long as each instance record has a
-    ``path`` and a ``label`` of ``sat``/``unsat``.
+    ``path`` and a ``label`` of ``sat``/``unsat``.  The instance records of
+    an ``augment``, ``export`` or ``pair`` run appended to the same directory
+    describe that run's outputs, not corpus instances, and are skipped.
     """
     base = Path(corpus_dir)
     out = []
+    outputs = False  # inside the records of an augment, export or pair run
     for record in read_manifest(base):
-        if record.get("type") not in (None, "instance"):
+        if record.get("type") == "run":
+            outputs = record.get("command") in ("augment", "export", "pair")
+        if outputs or record.get("type") not in (None, "instance"):
             continue
         formula = parse_dimacs((base / record["path"]).read_text(encoding="utf-8"))
         label = Label(record["label"])

@@ -45,20 +45,6 @@ def _ceil_count(rate: float, base: int) -> int:
     return max(0, math.ceil(rate * base - 1e-9))
 
 
-def _delete_literal(clauses: list[Clause], lit: int) -> list[Clause]:
-    """One unit-propagation step for ``lit``: satisfied clauses are dropped,
-    ``-lit`` is deleted elsewhere.  Clauses may become empty (falsum)."""
-    out = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            out.append(tuple(x for x in clause if x != -lit))
-        else:
-            out.append(clause)
-    return out
-
-
 def unit_propagate(formula: Formula, rate: float, seed: int) -> Formula:
     """Propagate a seeded selection of unit clauses.
 
@@ -77,8 +63,10 @@ def unit_propagate(formula: Formula, rate: float, seed: int) -> Formula:
         unit_positions = [i for i, c in enumerate(clauses) if len(c) == 1]
         if not unit_positions:
             break
-        pick = unit_positions[stream.integers(len(unit_positions))]
-        clauses = _delete_literal(clauses, clauses[pick][0])
+        lit = clauses[unit_positions[stream.integers(len(unit_positions))]][0]
+        # drop the clauses lit satisfies, delete -lit from the rest; a clause may become empty
+        clauses = [tuple(x for x in c if x != -lit) if -lit in c else c
+                   for c in clauses if lit not in c]
     return Formula._canonical(formula.num_vars, tuple(clauses))
 
 

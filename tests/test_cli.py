@@ -48,11 +48,21 @@ def test_gen_sr_pairs(tmp_path):
     assert sum(1 for f in files if "_sat" in f.name) == 5
 
 
-def test_gen_usage_errors(tmp_path):
+def test_gen_usage_errors(tmp_path, capsys):
     assert main(["gen", "--family", "ur", "--vars", "10", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["gen", "--family", "pr", "--vars", "x", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+    capsys.readouterr()
+    # argparse's own usage error, with exit code 1 (the choice list's quoting varies by version)
+    assert main(["gen", "--family", "xx", "--vars", "3", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cnfaug gen")
+    assert err.splitlines()[-1].startswith("cnfaug gen: error: ")
+    # a range reaches GenSpec for every family, which allows it for SR only
+    argv = ["gen", "--family", "ur", "--vars", "3:5", "--clauses", "5", "--k", "3"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: UR takes a fixed variable count\n"
 
 
 def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
@@ -98,7 +108,7 @@ def test_gen_sr_reversed_range_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "exp, message",
     [("nan", "power_exponent must be finite"), ("inf", "power_exponent must be finite"),
-     ("700", "power_exponent leaves fewer than clause_len variables with a non-zero weight"),
+     ("700", "power_exponent leaves fewer than clause_len variables that can be drawn"),
      ("0.5", "power_exponent must exceed 1")],
 )
 def test_gen_unusable_exponent_is_usage_error(tmp_path, capsys, exp, message):
@@ -106,6 +116,18 @@ def test_gen_unusable_exponent_is_usage_error(tmp_path, capsys, exp, message):
     assert run_gen(out, "--exp", exp) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_load_corpus_skips_the_records_of_later_runs(tmp_path):
+    gen = ["gen", "--family", "sr", "--vars", "6", "--count", "1", "--seed", "1", "--out"]
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert main([*gen, str(used)]) == EXIT_OK
+    assert main(["export", "--input", str(used / "*.cnf"), "--out", str(used)]) == EXIT_OK
+    assert main(["pair", "--input", str(used / "00000_sat.cnf"), "--chain1", "SC",
+                 "--chain2", "CR:1:1", "--out", str(used)]) == EXIT_OK
+    assert main([*gen, str(fresh)]) == EXIT_OK
+    assert len(cnfaug.load_corpus(used)) == 2
+    assert cnfaug.load_corpus(used) == cnfaug.load_corpus(fresh)
 
 
 def test_gen_determinism_byte_identical(tmp_path):

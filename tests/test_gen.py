@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from cnfaug.gen import (
     SR_BERNOULLI_P,
     SR_GEOMETRIC_P,
     _SR_P0,
+    _drawable,
+    _power_cdf,
     _sr_bernoulli,
     _sr_geometric,
     write_run,
@@ -267,6 +270,11 @@ def test_negative_clause_counts_are_refused():
         GenSpec(GenFamily.UR, 12, clause_len=3)
 
 
+def gen_spec(family: str, *fields_and_seed):
+    # GenSpec alone, for the fields no generator of SR or UR takes
+    return GenSpec(GenFamily(family), *fields_and_seed[:-1])
+
+
 # (generator, arguments without the seed, GenSpec's message)
 INVALID_ARGUMENTS = [
     (gen_sr, (1,), "SR needs at least 2 variables"),
@@ -285,9 +293,16 @@ INVALID_ARGUMENTS = [
     (gen_pr, (10, 41, 3, -math.inf), "power_exponent must exceed 1"),
     (gen_pr, (10, 41, 3, math.nan), "power_exponent must be finite"),
     (gen_pr, (10, 41, 3, math.inf), "power_exponent must be finite"),
-    # 3**-700 underflows to 0: two weighted variables cannot fill a 3-clause
+    # 2**-700 is not 0 but is lost in the cumulative sum, so no draw reaches variable 2
     (gen_pr, (10, 41, 3, 700.0),
-     "power_exponent leaves fewer than clause_len variables with a non-zero weight"),
+     "power_exponent leaves fewer than clause_len variables that can be drawn"),
+    # every weight is non-zero, but only variable 1 can be drawn for a 2-clause
+    (gen_pr, (5, 3, 2, 60.0),
+     "power_exponent leaves fewer than clause_len variables that can be drawn"),
+    (gen_spec, ("SR", 10, 41), "SR takes no num_clauses"),
+    (gen_spec, ("SR", (8, 12), None, 3), "SR takes no clause_len"),
+    (gen_spec, ("SR", 10, None, None, 2.0), "SR takes no power_exponent"),
+    (gen_spec, ("UR", 12, 51, 3, 2.0), "UR takes no power_exponent"),
 ]
 
 
@@ -299,6 +314,21 @@ def test_generators_raise_gen_spec_messages(generator, args, message):
     with pytest.raises(ValueError) as info:
         generator(*args, 0)
     assert str(info.value) == message
+
+
+def test_drawable_counts_the_variables_a_uniform_can_pick():
+    # Stream.pick is bisect_right(cdf, j / 2**53) for 0 <= j < 2**53, and the
+    # smallest j at or above each cdf[i-1] reaches every index that any j reaches
+    specs = ((5, 60.0), (10, 700.0), (40, 25.0), (10, 1.7), (2, 53.0))
+    power = [_power_cdf(n, exponent) for n, exponent in specs]
+    # index 1 spans [2**50 + 1/4, 2**50 + 1/2) / 2**53, which holds no draw
+    narrow = [0.125 + 2.0**-55, 0.125 + 2.0**-54, 1.0]
+    for cdf in [*power, narrow]:
+        firsts = {math.ceil(c * 2.0**53) for c in [0.0, *cdf[:-1]]}
+        picks = {bisect_right(cdf, j * 2.0**-53) for j in firsts if j < 2**53}
+        assert _drawable(cdf) == len(picks)
+    assert [_drawable(cdf) for cdf in power] == [1, 1, 4, 10, 1]
+    assert _drawable(narrow) == 2
 
 
 def assert_stored_as_constructed(instances):
