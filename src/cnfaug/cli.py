@@ -138,9 +138,12 @@ def _write_each(args, output_name, write, noun: str, **fields) -> int:
 
 def cmd_gen(args) -> int:
     family = GenFamily(args.family.upper())
+    lo, colon, hi = args.vars.partition(":")  # GenSpec refuses a range outside SR
     try:
-        lo, colon, hi = args.vars.partition(":")  # GenSpec refuses a range outside SR
         num_vars = (int(lo), int(hi)) if colon else int(lo)
+    except ValueError as exc:
+        raise _UsageError(f"--vars takes a count N or a range LO:HI, got {args.vars!r}") from exc
+    try:
         if args.count < 1:
             raise ValueError("count must be at least 1")
         if args.seed < 0:

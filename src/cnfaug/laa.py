@@ -11,6 +11,7 @@ function of (formula, rate, seed).
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from ._stream import Stream
@@ -62,18 +63,18 @@ def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
     are removed) and inserting a uniform literal into a uniform clause
     (skipped when the exact literal is already present).
     """
-    occurrences = sum(len(c) for c in formula.clauses)
-    edits = _floor_count(rate, occurrences)
+    total = sum(len(c) for c in formula.clauses)
+    edits = _floor_count(rate, total)
     if edits == 0:
         return formula
     stream = Stream(seed)
     clauses: list[list[int]] = [list(c) for c in formula.clauses]
+    # edits <= total and an edit deletes at most one occurrence, so each edit
+    # starts with total >= 1: some clause is non-empty and num_vars >= 1
     for _ in range(edits):
         if stream.integers(2):
-            total = sum(len(c) for c in clauses)
-            if total == 0:
-                continue
             flat = stream.integers(total)
+            total -= 1
             for ci, clause in enumerate(clauses):
                 if flat < len(clause):
                     clause.pop(flat)
@@ -82,14 +83,12 @@ def perturb_links(formula: Formula, rate: float, seed: int) -> Formula:
                     break
                 flat -= len(clause)
         else:
-            if not clauses or formula.num_vars == 0:
-                continue
             ci = stream.integers(len(clauses))
             var = 1 + stream.integers(formula.num_vars)
             lit = -var if stream.integers(2) else var
-            if lit in clauses[ci]:
-                continue
-            clauses[ci] = sorted(clauses[ci] + [lit], key=literal_key)
+            if lit not in clauses[ci]:
+                bisect.insort(clauses[ci], lit, key=literal_key)
+                total += 1
     return Formula._canonical(formula.num_vars, tuple(map(tuple, clauses)))
 
 

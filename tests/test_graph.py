@@ -69,6 +69,8 @@ def test_literal_node_convention():
     for lit in (1, -1, 7, -7):
         assert node_literal(literal_node(lit)) == lit
         assert flip_node(literal_node(lit)) == literal_node(-lit)
+    with pytest.raises(ValueError, match="literal 0 has no node"):
+        literal_node(0)
 
 
 def test_three_var_two_clause_graph():

@@ -151,6 +151,10 @@ class TestSubgraph:
     def test_rate_above_one_rejected(self):
         with pytest.raises(ValueError, match="rate must lie in"):
             subgraph(formula_of(2, [1, 2]), 1.5, 1)
+        # the other three refuse it through _floor_count
+        for fn in (drop_clauses, drop_variables, perturb_links):
+            with pytest.raises(ValueError, match="rate must lie in"):
+                fn(formula_of(2, [1, 2]), 1.5, 1)
 
     def test_long_walk_returns_whole_formula(self):
         f = formula_of(1, [1])

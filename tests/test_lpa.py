@@ -95,7 +95,7 @@ def _normalized(weights):
 STREAM_CALLS = st.one_of(
     st.tuples(
         st.just("integers"),
-        st.sampled_from([1, 2, 3, 12, 2**31 + 1, 2**32, 2**32 + 1, 3 * 2**40 + 7, 2**63, 2**64]),
+        st.sampled_from([1, 2, 3, 12, 2**31 + 1, 2**32, 2**32 + 1, 3 * 2**40 + 7, 2**63, 2**63 + 1, 2**64]),
     ),
     st.just(("random",)),
     (st.sampled_from([1, 10000]) | st.integers(1, 300)).flatmap(_sample_call),
@@ -277,6 +277,7 @@ class TestSubsumedClauseEliminate:
 class TestResolve:
     def test_union_minus_pivot(self):
         assert resolve((2, 3), (1, -3, 4), 3) == (1, 2, 4)
+        assert resolve((1, -3, 4), (2, 3), 3) == (1, 2, 4)
 
     def test_tautological_resolvent_is_discarded(self):
         assert resolve((-1, 2, 3, -4), (1, -3, 4), 3) is None
