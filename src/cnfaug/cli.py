@@ -139,10 +139,10 @@ def _write_each(args, output_name, write, noun: str, **fields) -> int:
 def cmd_gen(args) -> int:
     family = GenFamily(args.family.upper())
     lo, colon, hi = args.vars.partition(":")  # GenSpec refuses a range outside SR
-    try:
-        num_vars = (int(lo), int(hi)) if colon else int(lo)
-    except ValueError as exc:
-        raise _UsageError(f"--vars takes a count N or a range LO:HI, got {args.vars!r}") from exc
+    ends = (lo, hi) if colon else (lo,)
+    if not all(end.isascii() and end.isdigit() for end in ends):  # int() takes "1_0", " 10"
+        raise _UsageError(f"--vars takes a count N or a range LO:HI, got {args.vars!r}")
+    num_vars = (int(lo), int(hi)) if colon else int(lo)
     try:
         if args.count < 1:
             raise ValueError("count must be at least 1")

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._stream import Stream
-from .formula import Formula, Label, parse_dimacs, serialize_dimacs
+from .formula import Formula, Label, parse_dimacs, satisfies, serialize_dimacs
 from .oracle import solve_dpll
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -168,9 +168,11 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     called only when the model falsifies the new clause, and its model is
     replaced on SAT.  No draw depends on a solve, so the pair is the same as
     with a solve after every clause.  Negating one seeded-random literal of
-    the final clause gives the satisfiable twin (any model of the prefix
-    falsifies the final clause, hence satisfies the negated literal).  The
-    final UNSAT solve and a solve of the twin confirm both labels.
+    the final clause gives the satisfiable twin.  The kept model certifies
+    it without a solve: it satisfies every clause but the last, and it
+    falsifies every literal of the last, so it satisfies the negated one (a
+    single clause of width >= 2 is satisfiable, so a model is always kept by
+    then).  The final UNSAT solve confirms the other label.
     """
     spec = GenSpec(GenFamily.SR, num_vars)
     lo, hi = spec.num_vars if isinstance(spec.num_vars, tuple) else (spec.num_vars,) * 2
@@ -197,7 +199,7 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     flipped = tuple(-lit if i == flip_at else lit for i, lit in enumerate(clause))
     sat_formula = Formula._canonical(n, prefix.clauses[:-1] + (flipped,))
 
-    if solve_dpll(sat_formula).label is not Label.SAT:
+    if not satisfies(sat_formula, model):
         raise RuntimeError("SR invariant violated: flipped twin is not satisfiable")
     meta = {"family": GenFamily.SR.value, "seed": seed, "num_vars": n}
     return (
@@ -287,22 +289,15 @@ def gen_corpus(spec: GenSpec, count: int, seed: int) -> list[LabeledInstance]:
     if count < 1:
         raise ValueError("count must be at least 1")
     out: list[LabeledInstance] = []
+    # GenSpec refuses the fields a family does not use, so the set ones are
+    # its generator's parameters in order; the map is built per call, so a
+    # generator replaced on this module after import is the one called
+    generate = {GenFamily.SR: gen_sr, GenFamily.UR: gen_ur, GenFamily.PR: gen_pr}[spec.family]
+    params = [p for p in (spec.num_vars, spec.num_clauses, spec.clause_len,
+                          spec.power_exponent) if p is not None]
     for i in range(count):
-        inst_seed = derive_seed(seed, i)
-        if spec.family is GenFamily.SR:
-            out.extend(gen_sr(spec.num_vars, inst_seed))
-        elif spec.family is GenFamily.UR:
-            out.append(gen_ur(spec.num_vars, spec.num_clauses, spec.clause_len, inst_seed))
-        else:
-            out.append(
-                gen_pr(
-                    spec.num_vars,
-                    spec.num_clauses,
-                    spec.clause_len,
-                    spec.power_exponent,
-                    inst_seed,
-                )
-            )
+        drawn = generate(*params, derive_seed(seed, i))
+        out.extend(drawn if spec.family is GenFamily.SR else [drawn])
     for i, inst in enumerate(out):
         inst.meta["index"] = i
     return out

@@ -11,15 +11,15 @@ function of (formula, rate, seed).
 Variable elimination, clause resolution, subsumption and the pure-variable
 scan work on one integer bitmask per clause, in the literal-bit convention
 of :mod:`cnfaug.formula` (``+v`` is bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``);
-VE and CR find complementary occurrences through one per-literal index.
+VE and CR find complementary occurrences through one per-literal index,
+sized by the literals that occur: a variable that occurs in no clause is
+never a VE candidate and never counted as eliminated.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from functools import reduce
-from operator import or_
 
 from ._stream import Stream
 from .formula import (
@@ -108,7 +108,7 @@ def _pure_variables(formula: Formula) -> list[int]:
     whatever the header declares; the pure variables' positive-literal bits
     decode to the variables themselves."""
     masks = list(map(clause_mask, formula.clauses))
-    width = reduce(or_, masks, 0).bit_length()
+    width = max(masks, default=0).bit_length()
     pos, neg = polarities(masks, positive_bits((width + 1) // 2))
     return list(clause_of_mask(pos ^ neg))
 
@@ -181,9 +181,12 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause | None:
     return make_clause(merged)
 
 
-def _occurrence_lists(masks: list[int], num_vars: int) -> list[list[int]]:
-    """The ascending indices of the masks holding each literal, at its bit."""
-    occurrences: list[list[int]] = [[] for _ in range(2 * num_vars)]
+def _occurrence_lists(masks: list[int]) -> list[list[int]]:
+    """The ascending indices of the masks holding each literal, at its bit,
+    for both literals of every variable up to the highest that occurs,
+    whatever the header declares (the largest mask holds the highest bit)."""
+    width = max(masks, default=0).bit_length()
+    occurrences: list[list[int]] = [[] for _ in range(width + width % 2)]
     for i, mask in enumerate(masks):
         while mask:
             low = mask & -mask
@@ -208,9 +211,7 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     if target == 0:
         return formula
     masks = [clause_mask(c) for c in formula.clauses]
-    # only as wide as the literals that occur, whatever the header declares
-    width = (reduce(or_, masks, 0).bit_length() + 1) // 2
-    occurrences = _occurrence_lists(masks, width)
+    occurrences = _occurrence_lists(masks)
     pairs = zip(occurrences[0::2], occurrences[1::2])
     pivots = [(1 << 2 * i, pos, neg) for i, (pos, neg) in enumerate(pairs) if pos and neg]
     if not pivots:
@@ -221,7 +222,7 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     cdf = Stream.cdf([c / total for c in counts])
 
     stream = Stream(seed)
-    even = positive_bits(width)
+    even = positive_bits(len(occurrences) // 2)
     existing = set(masks)
     added: list[int] = []
     budget = MAX_RESOLVE_ATTEMPTS * target
@@ -284,12 +285,15 @@ def _elimination_plan(
 def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     """Eliminate ``max(1, ceil(rate * num_vars))`` variables by resolution.
 
-    For each step a seeded-random variable is chosen among those whose
-    elimination yields at most ``RESOLVENT_BOUND_FACTOR`` times as many
-    resolvents as clauses removed; the touching clauses are replaced by all
+    For each step a seeded-random variable is chosen among those that occur
+    in the current clauses (ascending) and whose elimination yields at most
+    ``RESOLVENT_BOUND_FACTOR`` times as many resolvents as clauses removed;
+    the touching clauses are replaced by all
     non-tautological pairwise resolvents (deduplicated, appended in
     generation order).  Eliminated variables occur nowhere in the output;
-    ``num_vars`` is left unchanged (indices may gap).  When no variable fits
+    ``num_vars`` is left unchanged (indices may gap).  A variable that occurs
+    nowhere is neither drawn nor counted, so on a sparse or thinned formula
+    fewer variables may be eliminated than requested.  When no variable fits
     under the bound the actual elimination count is logged and the formula
     so far is returned.
 
@@ -304,24 +308,22 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     masks = [clause_mask(c) for c in formula.clauses]
     decoded = dict(zip(masks, formula.clauses))
     even = positive_bits(formula.num_vars)
-    remaining = set(range(1, formula.num_vars + 1))
     stream = Stream(seed)
     eliminated = 0
     for _ in range(requested):
-        occurrences = _occurrence_lists(masks, formula.num_vars)
+        occurrences = _occurrence_lists(masks)
         plans = {}
-        for v in sorted(remaining):
-            pos, neg = occurrences[2 * v - 2], occurrences[2 * v - 1]
-            plan = _elimination_plan(masks, pos, neg, 1 << (2 * v - 2), even)
-            if plan is not None:
-                plans[v] = plan
+        for v, (pos, neg) in enumerate(zip(occurrences[0::2], occurrences[1::2]), 1):
+            if pos or neg:
+                plan = _elimination_plan(masks, pos, neg, 1 << (2 * v - 2), even)
+                if plan is not None:
+                    plans[v] = plan
         if not plans:
             break
         candidates = list(plans)
         var = candidates[stream.integers(len(candidates))]
         dropped = set(occurrences[2 * var - 2]).union(occurrences[2 * var - 1])
         masks = [m for i, m in enumerate(masks) if i not in dropped] + plans[var]
-        remaining.remove(var)
         eliminated += 1
     if eliminated < requested:
         logger.info(

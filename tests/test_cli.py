@@ -64,7 +64,7 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: UR takes a fixed variable count\n"
     # a --vars that is neither a count nor a range names the flag and both forms
-    for vars_ in ("8:12:14", ":5", "x"):
+    for vars_ in ("8:12:14", ":5", "x", "1_0", " 10", "\u0663", "-3"):
         assert main(["gen", "--family", "sr", "--vars", vars_, "--out", str(tmp_path)]) == EXIT_USAGE
         err = f"error: --vars takes a count N or a range LO:HI, got '{vars_}'\n"
         assert capsys.readouterr().err == err

@@ -20,6 +20,7 @@ from cnfaug import (
     load_corpus,
     make_clause,
     read_manifest,
+    satisfies,
     solve_brute,
     solve_dpll,
     write_corpus,
@@ -397,18 +398,21 @@ class TestSr:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
-            return solve(*args, **kwargs)
+            result = solve(*args, **kwargs)
+            calls.append((args[0], result))
+            return result
 
         monkeypatch.setattr(cnfaug.gen, "solve_dpll", counted)
         reference_calls = 0
         for seed in range(20):
             sat_inst, unsat_inst = gen_sr(10, seed)
-            # both labels are still confirmed by the last two solves
-            assert calls[-2:] == [unsat_inst.formula, sat_inst.formula]
+            # the last solve confirms the UNSAT label; the model of the solve
+            # before it certifies the twin
+            assert calls[-1][0] == unsat_inst.formula
+            assert satisfies(sat_inst.formula, calls[-2][1].assignment)
             # the reference solves once per appended clause, then the twin
             reference_calls += unsat_inst.formula.num_clauses + 1
-        # measured: 163 solves against the reference's 1083
+        # measured: 143 solves against the reference's 1083
         assert len(calls) < reference_calls / 3
 
 
