@@ -87,6 +87,23 @@ class AugmentationSpec:
 Chain = tuple[AugmentationSpec, ...]
 
 
+def integer(text: str) -> int:
+    """An ASCII ``-?[0-9]+`` integer.  ``int()`` alone also reads ``1_0``,
+    ``+3``, `` 3`` and non-ASCII decimal digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """An ASCII real with no ``_``.  ``float()`` alone also reads ``1_5``
+    and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII real: {text!r}")
+    return float(text)
+
+
 def parse_kind(name: str) -> AugKind:
     token = name.strip().upper()
     for enum in (LpaKind, LaaKind):
@@ -98,7 +115,8 @@ def parse_kind(name: str) -> AugKind:
 
 
 def parse_chain(text: str) -> Chain:
-    """Parse ``KIND[:rate[:seed]],...``; the empty string is the empty chain."""
+    """Parse ``KIND[:rate[:seed]],...``; the empty string is the empty chain.
+    Rates follow :func:`real` and seeds :func:`integer`."""
     text = text.strip()
     if not text:
         return ()
@@ -109,8 +127,8 @@ def parse_chain(text: str) -> Chain:
             raise ChainParseError(f"malformed chain step {token!r}")
         kind = parse_kind(parts[0])
         try:
-            rate = float(parts[1]) if len(parts) > 1 and parts[1] else 0.0
-            seed = int(parts[2]) if len(parts) > 2 and parts[2] else 0
+            rate = real(parts[1]) if len(parts) > 1 and parts[1] else 0.0
+            seed = integer(parts[2]) if len(parts) > 2 and parts[2] else 0
         except ValueError as exc:
             raise ChainParseError(f"malformed chain step {token!r}") from exc
         try:

@@ -11,6 +11,9 @@ unless ``--timing`` is passed, and per-file work runs in input-path order.
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data failure (unparsable
 inputs, oracle budget exhaustion, or label flips under ``verify --strict``).
+``main`` maps a data failure of the whole run once: a ``ValueError`` or
+``OracleBudgetError`` that leaves a command exits 3 (a ``ChainParseError``,
+though a ``ValueError``, stays a usage error).
 ``augment``, ``export`` and ``verify`` record a failing file and go on; the
 run then exits 2 if any input could not be read or written, else 3.
 ``verify`` and ``stats`` exit 2 before any work on a missing directory, and
@@ -28,7 +31,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .chains import ChainParseError, apply_chain, parse_chain
+from .chains import ChainParseError, apply_chain, integer, parse_chain, real
 from .formula import Formula, clause_mask, parse_dimacs, serialize_dimacs
 from .gen import GenFamily, GenSpec, gen_corpus, write_corpus, write_run
 from .graph import build_lig, export_graph
@@ -41,10 +44,6 @@ EXIT_IO = 2
 EXIT_DATA = 3
 
 class _UsageError(Exception):
-    pass
-
-
-class _DataError(Exception):
     pass
 
 
@@ -162,10 +161,7 @@ def cmd_gen(args) -> int:
     if out.exists() and any(out.iterdir()):
         # checked before generating; write_corpus only refuses names it would write
         raise _UsageError(f"output directory {out} is not empty")
-    try:
-        corpus = gen_corpus(spec, args.count, args.seed)
-    except (ValueError, OracleBudgetError) as exc:
-        raise _DataError(str(exc)) from exc
+    corpus = gen_corpus(spec, args.count, args.seed)
     write_corpus(corpus, out, run_header=_run_header("gen", args._argv, args.seed))
     print(f"wrote {len(corpus)} instances to {out}")
     return EXIT_OK
@@ -242,7 +238,7 @@ def cmd_stats(args) -> int:
             if chain is not None:
                 row.update(_solve_both(formula, apply_chain(formula, chain)))
         except (ValueError, OracleBudgetError) as exc:
-            raise _DataError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
         return row
 
     rows = [work(path) for path in files]
@@ -302,7 +298,7 @@ def cmd_pair(args) -> int:
         formula = _read_formula(path)
         views = [apply_chain(formula, chain1), apply_chain(formula, chain2)]
     except ValueError as exc:
-        raise _DataError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     records = [{"input": str(path), "chain": chain, "output": name, "status": "ok"}
                for chain, name in zip((args.chain1, args.chain2), names)]
     write_run(out, _run_header("pair", args._argv), records, zip(names, views))
@@ -318,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a labeled corpus")
     p.add_argument("--family", required=True, choices=["sr", "ur", "pr"])
     p.add_argument("--vars", required=True, help="variable count, or LO:HI for sr")
-    p.add_argument("--clauses", type=int, help="clause count (ur, pr)")
-    p.add_argument("--k", type=int, help="literals per clause (ur, pr)")
-    p.add_argument("--exp", type=float, help="power-law exponent (pr)")
-    p.add_argument("--count", type=int, default=1, help="instances (sr: pairs)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clauses", type=integer, help="clause count (ur, pr)")
+    p.add_argument("--k", type=integer, help="literals per clause (ur, pr)")
+    p.add_argument("--exp", type=real, help="power-law exponent (pr)")
+    p.add_argument("--count", type=integer, default=1, help="instances (sr: pairs)")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -373,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ChainParseError) as exc:  # every command parses its chains first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DataError as exc:
+    except (ValueError, OracleBudgetError) as exc:  # after ChainParseError, itself a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

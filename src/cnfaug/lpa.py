@@ -301,17 +301,19 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``, as in the module docstring):
     a resolvent on ``v`` is ``(a ^ p) | (b ^ n)`` for the pivot bits ``p``
     and ``n``, and it is a tautology when ``r & (r >> 1)`` has an even bit
-    set.  The steps keep masks only; the result is decoded once, an input
-    clause through a map from its mask and a resolvent by ``clause_of_mask``.
+    set.  The index and that tautology mask are only as wide as the literals
+    that occur, whatever the header declares.  The steps keep masks only; the
+    result is decoded once, an input clause through a map from its mask and a
+    resolvent by ``clause_of_mask``.
     """
     requested = max(1, _ceil_count(rate, formula.num_vars))
     masks = [clause_mask(c) for c in formula.clauses]
     decoded = dict(zip(masks, formula.clauses))
-    even = positive_bits(formula.num_vars)
     stream = Stream(seed)
     eliminated = 0
     for _ in range(requested):
         occurrences = _occurrence_lists(masks)
+        even = positive_bits(len(occurrences) // 2)
         plans = {}
         for v, (pos, neg) in enumerate(zip(occurrences[0::2], occurrences[1::2]), 1):
             if pos or neg:

@@ -60,6 +60,11 @@ def test_parse_errors():
         parse_chain("CR:0.1:2:9")
     with pytest.raises(ChainParseError):
         parse_chain("CR:1.5")
+    # numbers are ASCII: an integer is -?[0-9]+ and a real has no "_"
+    for text in ("CR:0.2_5:4_2", "CR:0.25:4_2", "CR:\u0660.\u0665:\u0664\u0662",
+                 "CR:0.2:+3", "CR:0.2: 3", "CR:0.2:\u0663"):
+        with pytest.raises(ChainParseError, match="malformed chain step"):
+            parse_chain(text)
 
 
 def test_spec_validation():

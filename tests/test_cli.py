@@ -68,6 +68,18 @@ def test_gen_usage_errors(tmp_path, capsys):
         assert main(["gen", "--family", "sr", "--vars", vars_, "--out", str(tmp_path)]) == EXIT_USAGE
         err = f"error: --vars takes a count N or a range LO:HI, got '{vars_}'\n"
         assert capsys.readouterr().err == err
+    # the other numbers follow the same ASCII rule, as argparse usage errors
+    ur = ["gen", "--family", "ur", "--vars", "12", "--clauses", "51", "--k", "3"]
+    pr = ["gen", "--family", "pr", "--vars", "10", "--clauses", "41", "--k", "3", "--exp", "1.7"]
+    for argv, flag, value in ((ur, "--clauses", "5_1"), (ur, "--clauses", "+51"),
+                              (ur, "--k", "\u0663"), (ur, "--count", "1_0"),
+                              (ur, "--seed", "\u0663"), (ur, "--seed", " 3"),
+                              (pr, "--exp", "1_7"), (pr, "--exp", "\u0661.7")):
+        out = tmp_path / "refused"
+        assert main([*argv, flag, value, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"cnfaug gen: error: argument {flag}: ")
+        assert not out.exists()
 
 
 def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
@@ -328,6 +340,25 @@ def test_stats_report(tmp_path, capsys):
     assert report["subsumed_clause_fraction"] == 0.0  # equal-width clauses
     assert "decisions_before_median" in report
     assert "propagation_only_after_fraction" in report
+
+
+def test_stats_corpus_without_clauses(tmp_path, capsys):
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "a.cnf").write_text("p cnf 3 0\n")
+    (tmp_path / "c" / "b.cnf").write_text("p cnf 2 0\n")
+    assert main(["stats", "--corpus", str(tmp_path / "c")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["subsumed_clause_fraction"] == 0.0
+
+
+def test_stats_ratio_without_decisions_is_null(tmp_path, capsys):
+    # both instances need no decision before the chain: the median ratio has no base
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "a.cnf").write_text("p cnf 2 1\n1 2 0\n")
+    (tmp_path / "c" / "b.cnf").write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+    assert main(["stats", "--corpus", str(tmp_path / "c"), "--chain", "CR:0.5:1,SC"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["decisions_before_median"] == 0
+    assert report["decisions_median_ratio"] is None
 
 
 def test_stats_missing_directory_is_io_error(tmp_path, capsys):

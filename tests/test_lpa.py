@@ -1,6 +1,7 @@
 import logging
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -290,6 +291,8 @@ class TestResolve:
             resolve((1, 2), (1, 3), 1)
         with pytest.raises(ValueError):
             resolve((1, 2), (-1, 3), 2)
+        with pytest.raises(ValueError, match="pivot must be a variable index"):
+            resolve((1,), (-1,), 0)
 
 
 class TestClauseResolution:
@@ -452,6 +455,18 @@ class TestVariableEliminate:
             out = variable_eliminate(f, 1.0, 0)
         assert out == Formula(40, ())
         assert [r.args for r in caplog.records] == [(2, 40)]
+
+    def test_a_wide_header_costs_little_memory(self):
+        # the tautology mask follows the literals that occur; one sized by
+        # the header peaked near 90 MB
+        tracemalloc.start()
+        try:
+            out = variable_eliminate(Formula(10**8, ((1, 2), (-1, 3))), 0.1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == Formula(10**8, ())
+        assert peak < 8_000_000
 
     def test_eliminated_variables_vanish(self, labeled_sample):
         formulas, _ = labeled_sample
