@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Union
 
 from . import laa, lpa
-from .formula import Formula
+from .formula import Formula, integer
 
 
 class LpaKind(Enum):
@@ -85,15 +85,6 @@ class AugmentationSpec:
 
 
 Chain = tuple[AugmentationSpec, ...]
-
-
-def integer(text: str) -> int:
-    """An ASCII ``-?[0-9]+`` integer.  ``int()`` alone also reads ``1_0``,
-    ``+3``, `` 3`` and non-ASCII decimal digits."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
 
 
 def real(text: str) -> float:

@@ -6,9 +6,9 @@ literals sorted by (variable index, positive-before-negative) with exact
 duplicates removed; the empty clause represents falsum.  A formula is an
 ordered sequence of clauses over a declared variable count; duplicate
 clauses are permitted and clause order is preserved by every operation.
-The :class:`Formula` constructor makes every clause canonical; the parser's
-fast path, every generator and every augmentation kind build canonical
-clauses themselves and store them through the unchecked ``_canonical``.
+The :class:`Formula` constructor makes every clause canonical; the parser,
+every generator and every augmentation kind build canonical clauses
+themselves and store them through the unchecked ``_canonical``.
 
 The search and elimination engines work on one integer bitmask per clause:
 literal ``+v`` is bit ``2(v-1)`` and ``-v`` is bit ``2(v-1)+1``.  Ascending
@@ -17,14 +17,15 @@ clause tuple, and a clause is tautological exactly when its mask has a pair
 ``2(v-1), 2(v-1)+1`` both set.
 
 The files the pipeline reads are ones it wrote with :func:`serialize_dimacs`:
-one ``p cnf N M`` line, then one canonical clause per line.
-:func:`parse_dimacs` reads such a document in one pass over its integer
-tokens, checks that each clause is canonical and in range, and stores the
-clauses without a second check.  A document that fails any part of that
-test (a comment, a late header, a bad token, an unsorted or out-of-range
-clause, a missing 0, a clause count the header disagrees with, CRLF line
-ends) goes to the line-by-line parser instead, which is the only code that
-raises :class:`DimacsError` or warns :class:`DimacsWarning`.
+one ``p cnf N M`` line, then one canonical clause per line.  Every count and
+literal is an ASCII ``-?[0-9]+`` token, cnfaug's one integer rule
+(:func:`integer`).  :func:`parse_dimacs` reads such a document in one pass
+over its tokens, checks that each clause is canonical and in range, and
+stores the clauses without a second check.  Any other document (a comment, a
+late header, a bad token, an unsorted or out-of-range clause, a missing 0, a
+clause count the header disagrees with, CRLF line ends) goes to the
+line-by-line parser, which canonicalises each clause as it closes and is the
+only code that raises :class:`DimacsError` or warns :class:`DimacsWarning`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ class DimacsWarning(UserWarning):
 def literal_key(lit: int) -> tuple[int, bool]:
     """Canonical sort key: variable ascending, positive before negative."""
     return (abs(lit), lit < 0)
+
+
+def integer(text: str) -> int:
+    """An ASCII ``-?[0-9]+`` integer, the one spelling cnfaug reads.
+    ``int()`` alone also reads ``1_0``, ``+3``, `` 3`` and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def make_clause(literals: Iterable[int]) -> Clause:
@@ -175,14 +185,14 @@ def parse_dimacs(text: str) -> Formula:
 
     Accepts ``c`` comment lines anywhere and clauses spanning multiple
     lines.  A clause count that disagrees with the header is tolerated with
-    a :class:`DimacsWarning`; a bad header, an out-of-range literal, or a
-    final clause missing its 0 terminator raise :class:`DimacsError`.
+    a :class:`DimacsWarning`; a bad header or token (see :func:`integer`),
+    an out-of-range literal, or a missing last 0 raise :class:`DimacsError`.
 
     A document as :func:`serialize_dimacs` writes it takes a fast path: a
-    first line ``p cnf N M`` in exactly that spelling, then integer tokens
-    only, forming ``M`` 0-terminated canonical clauses over ``1..N``.  Their
-    literals are checked once and stored as read.  Any other document goes
-    to the line-by-line parser, which raises every error and warning.
+    first line ``p cnf N M`` in exactly that spelling, then ASCII integer
+    tokens only, forming ``M`` 0-terminated canonical clauses over ``1..N``.
+    Their literals are checked once and stored as read.  Any other document
+    goes to the line-by-line parser, which raises every error and warning.
     """
     head, _, body = text.partition("\n")
     try:
@@ -190,7 +200,9 @@ def parse_dimacs(text: str) -> Formula:
         literals = list(map(int, body.split()))
     except ValueError:
         return _parse_lines(text)
-    if head != f"p cnf {num_vars} {declared}" or num_vars < 0:
+    # the header is compared whole; int() also reads "+1", "1_0" and non-ASCII digits
+    if (head != f"p cnf {num_vars} {declared}" or num_vars < 0
+            or not body.isascii() or "+" in body or "_" in body):
         return _parse_lines(text)
     top = 2 * num_vars + 1
     clauses = []
@@ -234,8 +246,8 @@ def _parse_lines(text: str) -> Formula:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
-                num_vars = int(fields[2])
-                declared_clauses = int(fields[3])
+                num_vars = integer(fields[2])
+                declared_clauses = integer(fields[3])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
             if num_vars < 0 or declared_clauses < 0:
@@ -245,11 +257,11 @@ def _parse_lines(text: str) -> Formula:
             raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
         for token in line.split():
             try:
-                lit = int(token)
+                lit = integer(token)
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: non-integer token {token!r}") from exc
             if lit == 0:
-                clauses.append(tuple(current))
+                clauses.append(make_clause(current))
                 current = []
             else:
                 if abs(lit) > num_vars:
@@ -268,7 +280,7 @@ def _parse_lines(text: str) -> Formula:
             DimacsWarning,
             stacklevel=3,
         )
-    return Formula(num_vars, tuple(clauses))
+    return Formula._canonical(num_vars, tuple(clauses))
 
 
 def serialize_dimacs(formula: Formula) -> str:

@@ -99,6 +99,9 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     ``ceil(rate * nodes)`` uniform-neighbor steps (no restarts).  Clauses
     whose node was visited are kept, restricted to visited literal nodes;
     clauses restricted to nothing are dropped.  ``num_vars`` is unchanged.
+    The walk stops on a node with no path to a clause (an empty clause, or a
+    literal of a variable in no clause), and its table holds only the nodes
+    with an edge, so its cost follows the edges, not the header.
     """
     graph = build_lig(formula, plus=True)
     if graph.num_nodes == 0:
@@ -106,19 +109,22 @@ def subgraph(formula: Formula, rate: float, seed: int) -> Formula:
     steps = _ceil_count(rate, graph.num_nodes)
     stream = Stream(seed)
     offset = graph.num_literal_nodes
-    # ascending neighbour lists: a literal's complement comes before its
-    # clause nodes, and sorted edges append clause and literal nodes in order
-    nbrs: list[list[int]] = [[i ^ 1] for i in range(offset)]
-    nbrs += [[] for _ in range(graph.num_clauses)]
-    for lit_idx, clause_idx in sorted(graph.cl_edges):
-        nbrs[lit_idx].append(offset + clause_idx)
-        nbrs[offset + clause_idx].append(lit_idx)
+    # ascending neighbour lists of the nodes with an edge (a literal's
+    # complement comes before its clause nodes)
+    nbrs: dict[int, list[int]] = {}
+    for lit_idx, clause_idx in graph.cl_edges:
+        nbrs.setdefault(lit_idx, [lit_idx ^ 1]).append(offset + clause_idx)
+        nbrs.setdefault(offset + clause_idx, []).append(lit_idx)
+    for options in nbrs.values():
+        options.sort()
     current = stream.integers(graph.num_nodes)
     visited = {current}
     for _ in range(steps):
-        options = nbrs[current]
-        if not options:
-            break
+        options = nbrs.get(current)
+        if options is None:  # an empty clause, or a literal in no clause
+            if current >= offset or current ^ 1 not in nbrs:
+                break
+            options = [current ^ 1]  # one option: the draw takes nothing
         current = options[stream.integers(len(options))]
         visited.add(current)
 

@@ -181,10 +181,10 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause | None:
     return make_clause(merged)
 
 
-def _occurrence_lists(masks: list[int]) -> list[list[int]]:
+def _occurrence_lists(masks: list[int]) -> tuple[list[list[int]], int]:
     """The ascending indices of the masks holding each literal, at its bit,
-    for both literals of every variable up to the highest that occurs,
-    whatever the header declares (the largest mask holds the highest bit)."""
+    for both literals of every variable up to the highest that occurs (the
+    largest mask holds the highest bit), and those variables' tautology mask."""
     width = max(masks, default=0).bit_length()
     occurrences: list[list[int]] = [[] for _ in range(width + width % 2)]
     for i, mask in enumerate(masks):
@@ -192,7 +192,7 @@ def _occurrence_lists(masks: list[int]) -> list[list[int]]:
             low = mask & -mask
             occurrences[low.bit_length() - 1].append(i)
             mask ^= low
-    return occurrences
+    return occurrences, positive_bits(len(occurrences) // 2)
 
 
 def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
@@ -211,7 +211,7 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     if target == 0:
         return formula
     masks = [clause_mask(c) for c in formula.clauses]
-    occurrences = _occurrence_lists(masks)
+    occurrences, even = _occurrence_lists(masks)
     pairs = zip(occurrences[0::2], occurrences[1::2])
     pivots = [(1 << 2 * i, pos, neg) for i, (pos, neg) in enumerate(pairs) if pos and neg]
     if not pivots:
@@ -222,7 +222,6 @@ def clause_resolution(formula: Formula, rate: float, seed: int) -> Formula:
     cdf = Stream.cdf([c / total for c in counts])
 
     stream = Stream(seed)
-    even = positive_bits(len(occurrences) // 2)
     existing = set(masks)
     added: list[int] = []
     budget = MAX_RESOLVE_ATTEMPTS * target
@@ -312,8 +311,7 @@ def variable_eliminate(formula: Formula, rate: float, seed: int) -> Formula:
     stream = Stream(seed)
     eliminated = 0
     for _ in range(requested):
-        occurrences = _occurrence_lists(masks)
-        even = positive_bits(len(occurrences) // 2)
+        occurrences, even = _occurrence_lists(masks)
         plans = {}
         for v, (pos, neg) in enumerate(zip(occurrences[0::2], occurrences[1::2]), 1):
             if pos or neg:

@@ -2,16 +2,17 @@
 
 The DPLL solver realizes the labelling function used throughout the toolkit
 and reports how many branching decisions it made, which the stats tooling
-uses as a proxy difficulty measure.  It searches on one integer bitmask per
-clause (the literal-bit convention of :mod:`cnfaug.formula`): a conflict is
-an empty mask, a unit a mask with one bit set, the pure and active variables
-come from the OR of all masks, and assigning a literal is one filter and one
-AND over the clause list.  Only unit steps check for an empty clause: a
-branch falsifies one literal of clauses that all hold two or more.  The
-brute-force routines enumerate all ``2**num_vars`` assignments at once, one
-bit per assignment in a Python integer per variable, and serve as the
-independent oracle for property tests; with no search and no propagation,
-they share no code path with the DPLL search.
+uses as a proxy difficulty measure.  Its search, a function nested in
+:func:`solve_dpll` that counts into that call's locals, works on one integer
+bitmask per clause (the literal-bit convention of :mod:`cnfaug.formula`): a
+conflict is an empty mask, a unit a mask with one bit set, the pure and
+active variables come from the OR of all masks, and assigning a literal is
+one filter and one AND over the clause list.  Only unit steps check for an
+empty clause: a branch falsifies one literal of clauses that all hold two or
+more.  The brute-force routines enumerate all ``2**num_vars`` assignments at
+once, one bit per assignment in a Python integer per variable, and serve as
+the independent oracle for property tests; with no search and no
+propagation, they share no code path with the DPLL search.
 """
 
 from __future__ import annotations
@@ -44,30 +45,38 @@ class SolveResult:
     propagations: int
 
 
-class _Search:
-    def __init__(self, num_vars: int):
-        self.even = positive_bits(num_vars)
-        self.decisions = 0
-        self.propagations = 0
+def solve_dpll(formula: Formula) -> SolveResult:
+    """Decide satisfiability with DPLL (unit propagation + pure literals).
 
-    def run(self, clauses: list[int], trail: int) -> int | None:
+    Deterministic: each step propagates the first unit clause, else the
+    lowest-indexed pure variable, else branches on the lowest-indexed active
+    variable, true first.  Raises :class:`OracleBudgetError` when the decision
+    budget runs out; never returns a wrong label.
+    """
+    if formula.num_vars > MAX_VARS:
+        raise ValueError(f"{formula.num_vars} variables exceeds the configured limit {MAX_VARS}")
+    even = positive_bits(formula.num_vars)
+    decisions = propagations = 0
+
+    def run(clauses: list[int], trail: int) -> int | None:
         """Search below a state free of empty clauses; returns ``trail`` (the
         mask of literals set true) extended to a model, or ``None``."""
+        nonlocal decisions, propagations
         while clauses:
             unit = next((c for c in clauses if not c & (c - 1)), 0)
             if unit:
-                self.propagations += 1
+                propagations += 1
                 trail |= unit
-                keep = ~(unit << 1 if unit & self.even else unit >> 1)
+                keep = ~(unit << 1 if unit & even else unit >> 1)
                 clauses = [c & keep for c in clauses if not c & unit]
                 if 0 in clauses:
                     return None
                 continue
 
-            pos, neg = polarities(clauses, self.even)
+            pos, neg = polarities(clauses, even)
             pure = pos ^ neg
             if pure:
-                self.propagations += 1
+                propagations += 1
                 low = pure & -pure  # the lowest pure variable
                 lit = low if pos & low else low << 1
                 trail |= lit
@@ -80,38 +89,22 @@ class _Search:
             # unit here, so falsifying one literal leaves none empty.
             low = pos & -pos
             for lit, comp in ((low, low << 1), (low << 1, low)):
-                self.decisions += 1
-                if self.decisions > MAX_DECISIONS:
-                    raise OracleBudgetError(
-                        f"decision budget of {MAX_DECISIONS} exhausted"
-                    )
+                decisions += 1
+                if decisions > MAX_DECISIONS:
+                    raise OracleBudgetError(f"decision budget of {MAX_DECISIONS} exhausted")
                 keep = ~comp
-                result = self.run([c & keep for c in clauses if not c & lit], trail | lit)
+                result = run([c & keep for c in clauses if not c & lit], trail | lit)
                 if result is not None:
                     return result
             return None
         return trail
 
-
-def solve_dpll(formula: Formula) -> SolveResult:
-    """Decide satisfiability with DPLL (unit propagation + pure literals).
-
-    Deterministic: each step propagates the first unit clause, else the
-    lowest-indexed pure variable, else branches on the lowest-indexed active
-    variable, true first.  Raises :class:`OracleBudgetError` when the decision
-    budget runs out; never returns a wrong label.
-    """
-    if formula.num_vars > MAX_VARS:
-        raise ValueError(
-            f"{formula.num_vars} variables exceeds the configured limit {MAX_VARS}"
-        )
-    search = _Search(formula.num_vars)
     masks = [clause_mask(c) for c in formula.clauses]
-    found = None if 0 in masks else search.run(masks, 0)
-    if found is None:
-        return SolveResult(Label.UNSAT, None, search.decisions, search.propagations)
-    assignment = {v: not found >> (2 * v - 1) & 1 for v in range(1, formula.num_vars + 1)}
-    return SolveResult(Label.SAT, assignment, search.decisions, search.propagations)
+    found = None if 0 in masks else run(masks, 0)
+    label = Label.UNSAT if found is None else Label.SAT
+    assignment = None if found is None else {
+        v: not found >> (2 * v - 1) & 1 for v in range(1, formula.num_vars + 1)}
+    return SolveResult(label, assignment, decisions, propagations)
 
 
 def _models(formula: Formula) -> int:

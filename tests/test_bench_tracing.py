@@ -10,9 +10,10 @@ import cnfaug
 
 BENCH = Path(__file__).resolve().parent.parent / "cnfbench"
 
-# Runs gen -> augment --verify -> verify -> export through cli.main under the
-# tracer and checks, stage by stage, that each wrapped layer was called once
-# per file (twice for the two solves or parses of a before/after pair).
+# Runs gen -> augment --verify -> verify -> export, then an SG augment,
+# through cli.main under the tracer and checks, stage by stage, that each
+# wrapped layer was called once per file (twice for the two solves or parses
+# of a before/after pair).
 PIPELINE = """
 from collections import Counter
 from pathlib import Path
@@ -36,6 +37,8 @@ d = stage("verify", "--before", "corpus", "--after", "aug", "--strict")
 assert (d["formula.parse_dimacs"], d["oracle.solve_dpll"]) == (2 * n, 2 * n), d
 d = stage("export", "--input", "aug/*.cnf", "--out", "graphs")
 assert (d["formula.parse_dimacs"], d["graph.export_graph"]) == (n, n), d
+d = stage("augment", "--input", "corpus/*.cnf", "--chain", "SG:0.6:1", "--out", "sg")
+assert (d["laa.subgraph"], d["graph.build_lig"]) == (n, n), d
 """
 
 

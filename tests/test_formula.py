@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -34,9 +35,19 @@ def reference_formula_clauses(num_vars, clauses):
     return tuple(make_clause(c) for c in clauses)
 
 
+def ascii_int(token):
+    """``int(token)`` for the one spelling a DIMACS count or literal may
+    take, ASCII ``-?[0-9]+``; ``int()`` alone also reads ``+1``, ``1_0``
+    and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 def reference_parse_dimacs(text):
     """The parser from before clauses were canonical by construction: it
-    canonicalizes each clause with :func:`make_clause` itself."""
+    canonicalizes each clause with :func:`make_clause` itself.  Tokens are
+    read by :func:`ascii_int`."""
     num_vars = None
     declared_clauses = 0
     clauses = []
@@ -53,8 +64,8 @@ def reference_parse_dimacs(text):
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
-                num_vars = int(fields[2])
-                declared_clauses = int(fields[3])
+                num_vars = ascii_int(fields[2])
+                declared_clauses = ascii_int(fields[3])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from exc
             if num_vars < 0 or declared_clauses < 0:
@@ -64,7 +75,7 @@ def reference_parse_dimacs(text):
             raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
         for token in line.split():
             try:
-                lit = int(token)
+                lit = ascii_int(token)
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: non-integer token {token!r}") from exc
             if lit == 0:
@@ -206,9 +217,22 @@ def test_parse_errors():
 
 
 def test_non_integer_header_count_is_a_malformed_header():
-    # the fast path refuses it and the line parser's int() raises
+    # the fast path refuses it and the line parser's integer() raises
     with pytest.raises(DimacsError, match="^line 1: malformed header 'p cnf x 2'$"):
         parse_dimacs("p cnf x 2\n1 0\n")
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 10 1\n1_0 0",
+    "p cnf 3 1\n+1 -0",
+    "p cnf 3 1\n\u0663 0",  # ARABIC-INDIC DIGIT THREE
+    "p cnf 1_0 1\n3 0",
+    "c x\np cnf +3 1\n+1 0",
+])
+def test_tokens_other_than_ascii_integers_are_refused(text):
+    # int() reads each of these as a number
+    with pytest.raises(DimacsError):
+        parse_dimacs(text)
 
 
 def test_clause_count_mismatch_warns():
