@@ -4,17 +4,21 @@ A chain is an ordered sequence of augmentation steps applied left to right;
 order matters (adding resolvents before pruning subsumed clauses is not the
 same as the reverse).  The text form is ``KIND[:rate[:seed]]`` joined by
 commas, e.g. ``CR:0.2:42,SC`` - each step carries its own seed so a chain
-string fully determines the output for a given input formula.
+string fully determines the output for a given input formula.  A kind is
+ASCII letters in either case; a rate and a seed are ASCII digits with no
+leading zero, and a rate may add a ``.digits`` fraction.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Callable, Union
 
 from . import laa, lpa
-from .formula import Formula, integer
+from .formula import Formula
 
 
 class LpaKind(Enum):
@@ -87,51 +91,35 @@ class AugmentationSpec:
 Chain = tuple[AugmentationSpec, ...]
 
 
-def real(text: str) -> float:
-    """An ASCII real with no ``_``.  ``float()`` alone also reads ``1_5``
-    and non-ASCII digits."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII real: {text!r}")
-    return float(text)
-
-
-def parse_kind(name: str) -> AugKind:
-    token = name.strip().upper()
-    for enum in (LpaKind, LaaKind):
-        try:
-            return enum(token)
-        except ValueError:
-            continue
-    raise ChainParseError(f"unknown augmentation kind {name!r}")
+_KINDS = {kind.value: kind for kind in _DISPATCH}
+_STEP = re.compile(r"([A-Za-z]+)(?::((?:0|[1-9][0-9]*)(?:\.[0-9]+)?)(?::(0|[1-9][0-9]*))?)?")
 
 
 def parse_chain(text: str) -> Chain:
     """Parse ``KIND[:rate[:seed]],...``; the empty string is the empty chain.
-    Rates follow :func:`real` and seeds :func:`integer`."""
+    Surrounding spaces of the text and of each step are ignored."""
     text = text.strip()
     if not text:
         return ()
     specs = []
     for token in text.split(","):
-        parts = token.strip().split(":")
-        if not 1 <= len(parts) <= 3:
+        step = _STEP.fullmatch(token.strip())
+        if step is None:
             raise ChainParseError(f"malformed chain step {token!r}")
-        kind = parse_kind(parts[0])
+        name, rate, seed = step.groups()
+        kind = _KINDS.get(name.upper(), name)  # the spec refuses an unknown name
         try:
-            rate = real(parts[1]) if len(parts) > 1 and parts[1] else 0.0
-            seed = integer(parts[2]) if len(parts) > 2 and parts[2] else 0
-        except ValueError as exc:
-            raise ChainParseError(f"malformed chain step {token!r}") from exc
-        try:
-            specs.append(AugmentationSpec(kind, rate, seed))
+            specs.append(AugmentationSpec(kind, float(rate or 0), int(seed or 0)))
         except ValueError as exc:
             raise ChainParseError(str(exc)) from exc
     return tuple(specs)
 
 
 def format_chain(chain: Chain) -> str:
-    """Inverse of :func:`parse_chain` (rates use shortest round-trip repr)."""
-    return ",".join(f"{s.kind.value}:{s.rate!r}:{s.seed}" for s in chain)
+    """Inverse of :func:`parse_chain`: each rate is its shortest round-trip
+    ``repr`` written positionally, so ``1e-05`` becomes ``0.00001``, and
+    without the sign of ``-0.0``, a valid rate the grammar would refuse."""
+    return ",".join(f"{s.kind.value}:{Decimal(repr(abs(s.rate))):f}:{s.seed}" for s in chain)
 
 
 def is_label_preserving(chain: Chain) -> bool:

@@ -31,8 +31,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .chains import ChainParseError, apply_chain, parse_chain, real
-from .formula import Formula, clause_mask, integer, parse_dimacs, serialize_dimacs
+from .chains import ChainParseError, apply_chain, parse_chain
+from .formula import Formula, clause_mask, integer, parse_dimacs, real, serialize_dimacs
 from .gen import GenFamily, GenSpec, gen_corpus, write_corpus, write_run
 from .graph import build_lig, export_graph
 from .lpa import strict_supersets

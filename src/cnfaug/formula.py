@@ -70,6 +70,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def real(text: str) -> float:
+    """An ASCII real with no ``_`` or surrounding whitespace, which ``float()``
+    alone reads; ``nan`` and ``inf`` pass, for the caller to refuse."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not an ASCII real: {text!r}")
+    return float(text)
+
+
 def make_clause(literals: Iterable[int]) -> Clause:
     """Build a canonical clause: deduplicated, sorted by :func:`literal_key`.
 

@@ -40,13 +40,15 @@ def drop_clauses(formula: Formula, rate: float, seed: int) -> Formula:
 
 
 def drop_variables(formula: Formula, rate: float, seed: int) -> Formula:
-    """Delete every occurrence of ``floor(rate * num_vars)`` seeded-random
-    variables.  Clauses emptied by the deletion are removed; ``num_vars`` is
-    unchanged (indices may gap)."""
-    count = _floor_count(rate, formula.num_vars)
+    """Delete every occurrence of ``floor(rate * v)`` seeded-random variables
+    among the ``v`` that occur, drawn by their ascending position, so the cost
+    follows the clauses, not the header.  Clauses emptied by the deletion are
+    removed; ``num_vars`` is unchanged (indices may gap)."""
+    occurring = sorted({abs(lit) for clause in formula.clauses for lit in clause})
+    count = _floor_count(rate, len(occurring))
     if count == 0:
         return formula
-    dropped = {v + 1 for v in Stream(seed).sample(formula.num_vars, count)}
+    dropped = {occurring[i] for i in Stream(seed).sample(len(occurring), count)}
     kept: list[Clause] = []
     for clause in formula.clauses:
         reduced = tuple(lit for lit in clause if abs(lit) not in dropped)

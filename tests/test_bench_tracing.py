@@ -13,7 +13,8 @@ BENCH = Path(__file__).resolve().parent.parent / "cnfbench"
 # Runs gen -> augment --verify -> verify -> export, then an SG augment,
 # through cli.main under the tracer and checks, stage by stage, that each
 # wrapped layer was called once per file (twice for the two solves or parses
-# of a before/after pair).
+# of a before/after pair), and that the counts the benchmark reports from
+# CR, SC and VE are read.
 PIPELINE = """
 from collections import Counter
 from pathlib import Path
@@ -33,12 +34,22 @@ n = len(list(Path("corpus").glob("*.cnf")))
 assert n == 4, n
 d = stage("augment", "--input", "corpus/*.cnf", "--chain", "CR:0.2:1,SC", "--out", "aug", "--verify")
 assert (d["formula.parse_dimacs"], d["chains.apply_chain"], d["oracle.solve_dpll"]) == (n, n, 2 * n), d
+counts = tracer.counts
+assert counts["lpa.cr_added"] <= counts["lpa.cr_requested"], counts
+assert "lpa.sc_removed" in counts, counts
 d = stage("verify", "--before", "corpus", "--after", "aug", "--strict")
 assert (d["formula.parse_dimacs"], d["oracle.solve_dpll"]) == (2 * n, 2 * n), d
 d = stage("export", "--input", "aug/*.cnf", "--out", "graphs")
 assert (d["formula.parse_dimacs"], d["graph.export_graph"]) == (n, n), d
 d = stage("augment", "--input", "corpus/*.cnf", "--chain", "SG:0.6:1", "--out", "sg")
 assert (d["laa.subgraph"], d["graph.build_lig"]) == (n, n), d
+# VE stops short of the 40 requested variables, as only 3 occur; the tracer
+# reads how many it eliminated from VE's log record, which the benchmark's
+# ve_eliminated_ratio needs
+Path("sparse").mkdir()
+Path("sparse/f.cnf").write_text("p cnf 40 2\\n1 2 0\\n-1 3 0\\n")
+stage("augment", "--input", "sparse/f.cnf", "--chain", "VE:1.0:1,SC", "--out", "ve")
+assert (counts["lpa.ve_requested"], counts["lpa.ve_eliminated"]) == (40, 2), counts
 """
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cnfaug import (
     AugmentationSpec,
@@ -46,8 +48,20 @@ def test_empty_chain():
     assert parse_chain("   ") == ()
 
 
-def test_format_round_trip():
-    chain = parse_chain("VE:0.1:3,CR:0.25:11,SC")
+SPECS = st.builds(
+    AugmentationSpec,
+    st.sampled_from([*LpaKind, *LaaKind]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@given(st.lists(SPECS, max_size=4).map(tuple))
+@example(parse_chain("VE:0.1:3,CR:0.25:11,SC"))
+@example((AugmentationSpec(LpaKind.CR, 1e-05, 1), AugmentationSpec(LaaKind.DV, 5e-324, 2**64 - 1)))
+@example((AugmentationSpec(LpaKind.UP, -0.0, 0),))
+def test_format_round_trip(chain):
+    # rates are written positionally and unsigned: the grammar refuses 1e-05 and -0.0
     assert parse_chain(format_chain(chain)) == chain
 
 
@@ -60,9 +74,11 @@ def test_parse_errors():
         parse_chain("CR:0.1:2:9")
     with pytest.raises(ChainParseError):
         parse_chain("CR:1.5")
-    # numbers are ASCII: an integer is -?[0-9]+ and a real has no "_"
+    # one spelling per number: ASCII digits with no leading zero, a rate
+    # with an optional .digits fraction, and no sign, exponent or space
     for text in ("CR:0.2_5:4_2", "CR:0.25:4_2", "CR:\u0660.\u0665:\u0664\u0662",
-                 "CR:0.2:+3", "CR:0.2: 3", "CR:0.2:\u0663"):
+                 "CR:0.2:+3", "CR:0.2: 3", "CR:0.2:\u0663",
+                 "CR: 0.25:42", "CR:2.5e-1:42", "CR:0.25:042", "CR :0.25:42", "CR:.5:1", "CR:00.5:1"):
         with pytest.raises(ChainParseError, match="malformed chain step"):
             parse_chain(text)
 

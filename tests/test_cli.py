@@ -74,7 +74,8 @@ def test_gen_usage_errors(tmp_path, capsys):
     for argv, flag, value in ((ur, "--clauses", "5_1"), (ur, "--clauses", "+51"),
                               (ur, "--k", "\u0663"), (ur, "--count", "1_0"),
                               (ur, "--seed", "\u0663"), (ur, "--seed", " 3"),
-                              (pr, "--exp", "1_7"), (pr, "--exp", "\u0661.7")):
+                              (pr, "--exp", "1_7"), (pr, "--exp", "\u0661.7"),
+                              (pr, "--exp", " 1.7")):
         out = tmp_path / "refused"
         assert main([*argv, flag, value, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err

@@ -113,6 +113,20 @@ class TestDropVariables:
     def test_flips_some_instance(self, sr_corpus):
         assert find_flip(drop_variables, sr_corpus[:200]) is not None
 
+    def test_draws_among_the_variables_that_occur(self):
+        # the three variables that occur are the whole population; a draw
+        # over the header took 676 ms and a 21 MB peak at 10**6 variables
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            out = drop_variables(Formula(10**8, ((1, 2), (-1, 3))), 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 8_000_000
+        assert out == Formula(10**8, ((1,), (-1, 3)))  # floor(0.5 * 3) = 1 of 3 dropped
+
 
 class TestPerturbLinks:
     def test_rate_zero_identity(self, sr_corpus):
@@ -224,11 +238,12 @@ def reference_drop_clauses(formula, rate, seed):
 
 
 def reference_drop_variables(formula, rate, seed):
-    count = laa._floor_count(rate, formula.num_vars)
+    occurring = sorted({abs(lit) for clause in formula.clauses for lit in clause})
+    count = laa._floor_count(rate, len(occurring))
     if count == 0:
         return formula
     rng = seeded_rng(seed)
-    dropped = set((rng.choice(formula.num_vars, size=count, replace=False) + 1).tolist())
+    dropped = {occurring[i] for i in rng.choice(len(occurring), size=count, replace=False).tolist()}
     kept = []
     for clause in formula.clauses:
         reduced = tuple(lit for lit in clause if abs(lit) not in dropped)
@@ -295,5 +310,5 @@ def test_tail_shuffle_and_wide_shapes_match_reference():
     for seed in (0, derive_seed(21, 0)):
         for fn in (drop_clauses, drop_variables):
             assert fn(TAIL_SHUFFLE, 0.05, seed) == LAA_REFERENCES[fn](TAIL_SHUFFLE, 0.05, seed)
-        for fn, rate in ((drop_variables, 2e-9), (perturb_links, 1.0)):
+        for fn, rate in ((drop_variables, 0.6), (perturb_links, 1.0)):
             assert fn(WIDE_HEADER, rate, seed) == LAA_REFERENCES[fn](WIDE_HEADER, rate, seed)
