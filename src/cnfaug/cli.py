@@ -33,7 +33,7 @@ from pathlib import Path
 from . import __version__
 from .chains import ChainParseError, apply_chain, parse_chain
 from .formula import Formula, clause_mask, integer, parse_dimacs, real, serialize_dimacs
-from .gen import GenFamily, GenSpec, gen_corpus, write_corpus, write_run
+from .gen import MANIFEST_NAME, GenFamily, GenSpec, gen_corpus, write_corpus, write_run
 from .graph import build_lig, export_graph
 from .lpa import strict_supersets
 from .oracle import OracleBudgetError, solve_dpll
@@ -110,13 +110,15 @@ def _write_each(args, output_name, write, noun: str, **fields) -> int:
     """The run shared by ``augment`` and ``export``: ``write(path, target,
     record)`` turns each ``--input`` file into ``--out``/``output_name(path)``,
     then the manifest and a summary line follow.  Two inputs that would write
-    one file, or a file that already exists, are a usage error raised before
-    anything is written."""
+    one file, an output named as the manifest, or a file that already exists,
+    are a usage error raised before anything is written."""
     inputs = _expand_inputs(args.input)
     out = Path(args.out)
     owners: dict[str, Path] = {}
     for path in inputs:
         name = output_name(path)
+        if name == MANIFEST_NAME:
+            raise _UsageError(f"input {path} maps to output {name}, the run's manifest")
         if name in owners:
             raise _UsageError(f"inputs {owners[name]} and {path} both map to output {name}")
         owners[name] = path

@@ -25,39 +25,34 @@ import numpy as np
 _NORM_LO, _NORM_HI = 2.0**-500, 2.0**500
 
 
-def _in_range(row: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
-    """``row`` and its norm, the row first divided by its largest magnitude
-    when the norm lies outside [_NORM_LO, _NORM_HI].  A zero row, or one
-    with a non-finite entry, is returned as it is."""
-    if _NORM_LO <= norm <= _NORM_HI:
-        return row, norm
-    peak = np.abs(row).max(initial=0.0)
-    if not 0.0 < peak < np.inf:
-        return row, norm
-    row = row / peak
-    return row, np.linalg.norm(row)
-
-
-def _check_norms(norms: np.ndarray) -> None:
-    """Cosine similarity needs every norm positive and finite; after
-    :func:`_in_range`, a norm is zero only for a zero vector and non-finite
-    only for a vector with a non-finite entry."""
+def _in_range(rows: np.ndarray | list[np.ndarray], norms: np.ndarray) -> tuple:
+    """``rows`` and ``norms``, a row whose norm lies outside [_NORM_LO, _NORM_HI]
+    divided by its largest magnitude on a copy; then refuses a zero row and a
+    row with a non-finite entry, as every norm must be positive and finite."""
+    outside = np.flatnonzero((norms < _NORM_LO) | (norms > _NORM_HI))
+    if outside.size:
+        rows, norms = rows.copy(), norms.copy()
+        for i in outside:
+            peak = np.abs(rows[i]).max(initial=0.0)
+            if 0.0 < peak < np.inf:
+                rows[i] = rows[i] / peak
+                norms[i] = np.linalg.norm(rows[i])
     if (norms == 0.0).any():
         raise ValueError("cosine similarity is undefined for zero-norm vectors")
     if not np.isfinite(norms).all():
         raise ValueError("cosine similarity is undefined for vectors of non-finite norm")
+    return rows, norms
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity ``a.b / (|a||b|)``; raises on a zero vector or a
-    non-finite entry."""
+    non-finite entry.  A vector whose norm lies outside [2**-500, 2**500]
+    is divided by its largest magnitude first."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     with np.errstate(over="ignore"):
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    a, na = _in_range(a, na)
-    b, nb = _in_range(b, nb)
-    _check_norms(np.array([na, nb]))
+        norms = np.array([np.linalg.norm(a), np.linalg.norm(b)])
+    (a, b), (na, nb) = _in_range([a, b], norms)
     return float(a @ b / (na * nb))
 
 
@@ -83,12 +78,7 @@ def nt_xent(vectors: np.ndarray, temperature: float = 0.5) -> float:
         raise ValueError("embeddings must be finite")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1)
-    outside = np.flatnonzero((norms < _NORM_LO) | (norms > _NORM_HI))
-    if outside.size:
-        x = x.copy()
-        for i in outside:
-            x[i], norms[i] = _in_range(x[i], norms[i])
-    _check_norms(norms)
+    x, norms = _in_range(x, norms)
     unit = x / norms[:, None]
     logits = (unit @ unit.T) / temperature
 

@@ -14,11 +14,12 @@ BENCH = Path(__file__).resolve().parent.parent / "cnfbench"
 # through cli.main under the tracer and checks, stage by stage, that each
 # wrapped layer was called once per file (twice for the two solves or parses
 # of a before/after pair), and that the counts the benchmark reports from
-# CR, SC and VE are read.
+# CR, SC and VE are read.  An SR corpus and its export then check the
+# gen.dpll_calls and graph.edges counts against what they count.
 PIPELINE = """
 from collections import Counter
 from pathlib import Path
-from cnfaug import cli
+from cnfaug import cli, parse_dimacs
 
 def calls():
     return Counter(tracer.summary()["calls"])
@@ -35,6 +36,7 @@ assert n == 4, n
 d = stage("augment", "--input", "corpus/*.cnf", "--chain", "CR:0.2:1,SC", "--out", "aug", "--verify")
 assert (d["formula.parse_dimacs"], d["chains.apply_chain"], d["oracle.solve_dpll"]) == (n, n, 2 * n), d
 counts = tracer.counts
+assert "gen.dpll_calls" not in counts, counts  # the PR corpus solves outside gen_sr
 assert counts["lpa.cr_added"] <= counts["lpa.cr_requested"], counts
 assert "lpa.sc_removed" in counts, counts
 d = stage("verify", "--before", "corpus", "--after", "aug", "--strict")
@@ -50,6 +52,16 @@ Path("sparse").mkdir()
 Path("sparse/f.cnf").write_text("p cnf 40 2\\n1 2 0\\n-1 3 0\\n")
 stage("augment", "--input", "sparse/f.cnf", "--chain", "VE:1.0:1,SC", "--out", "ve")
 assert (counts["lpa.ve_requested"], counts["lpa.ve_eliminated"]) == (40, 2), counts
+# every solve of an SR run happens inside gen_sr, so the benchmark's
+# gen.dpll_calls_per_pair counts them all, through gen's own binding
+d = stage("gen", "--family", "sr", "--vars", "8", "--count", "3", "--seed", "2", "--out", "sr")
+assert counts["gen.dpll_calls"] == d["oracle.solve_dpll"] > 0, (counts, d)
+# graph.edges counts one edge per literal occurrence of each exported formula
+edges = counts["graph.edges"]
+stage("export", "--input", "sr/*.cnf", "--out", "srgraphs")
+occurrences = sum(len(clause) for path in Path("sr").glob("*.cnf")
+                  for clause in parse_dimacs(path.read_text()).clauses)
+assert counts["graph.edges"] - edges == occurrences > 0, (counts, occurrences)
 """
 
 

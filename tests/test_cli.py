@@ -433,6 +433,19 @@ def test_same_named_inputs_are_refused_before_writing(tmp_path, capsys, command)
     assert str(tmp_path / "a") in err and str(tmp_path / "b") in err
 
 
+def test_augment_refuses_an_input_named_as_the_manifest(tmp_path, capsys):
+    # augment names each view after its input, so this one would overwrite
+    # the run's manifest with DIMACS text
+    src = tmp_path / "in" / "manifest.jsonl"
+    src.parent.mkdir()
+    src.write_text("p cnf 2 1\n1 2 0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["augment", "--input", str(src), "--chain", "SC", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert "manifest.jsonl" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["augment", "export"])
 def test_pattern_matching_no_file_is_io_error(tmp_path, capsys, command):
     src = tmp_path / "corpus"
