@@ -2,19 +2,23 @@
 PCG64's raw output.
 
 Every seeded draw in :mod:`cnfaug.gen`, :mod:`cnfaug.lpa` and
-:mod:`cnfaug.laa` goes through a :class:`Stream`.  For the calls it stands
-in for, a stream on ``seed`` returns exactly the values of
+:mod:`cnfaug.laa` goes through a :class:`Stream` or, for a whole UR
+instance, through :func:`integer_rounds`.  For the calls it stands in for,
+a stream on ``seed`` returns exactly the values of
 ``numpy.random.Generator(numpy.random.PCG64(seed))``, so outputs stay a pure
 function of the seed and equal those of the numpy calls the generators and
 transformations were written with; per call it skips numpy's dispatch and
-array overhead.
+array overhead.  :func:`integer_rounds` returns the same values for a fixed
+sequence of bounded draws in one array pass, or ``None`` when one of them
+would need numpy's rejection step, and its caller then draws through a
+:class:`Stream`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +27,10 @@ _TWO32 = 1 << 32
 _MASK32 = _TWO32 - 1
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
+# numpy scalars, so that uint64 arrays never meet a Python int (NumPy 1.x
+# promotes a uint64 and int64 mix to float64)
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
 
 
 class Stream:
@@ -97,7 +105,7 @@ class Stream:
         """
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n} without replacement")
-        if n > 10000 and k > n // 50:
+        if not floyd_shape(n, k):
             moved: dict[int, int] = {}
             for i in range(n - 1, max(n - k, 1) - 1, -1):
                 j = self.integers(i + 1)
@@ -128,3 +136,39 @@ class Stream:
     def pick(self, cdf: list[float]) -> int:
         """``Generator.choice(len(p), p=p)`` for ``cdf == Stream.cdf(p)``."""
         return bisect_right(cdf, self.random())
+
+
+def floyd_shape(n: int, k: int) -> bool:
+    """Whether ``Generator.choice(n, k, replace=False)`` runs Floyd's
+    algorithm rather than shuffling the tail of ``range(n)``."""
+    return n <= 10000 or k <= n // 50
+
+
+def integer_rounds(seed: int, bounds: Sequence[int], rounds: int) -> np.ndarray | None:
+    """``Generator(PCG64(seed)).integers(b)`` for each ``b`` of ``bounds`` in
+    turn, the whole sequence ``rounds`` times over, as a ``(rounds,
+    len(bounds))`` int64 array; or ``None``.
+
+    Bounds are positive.  A bound of 1 draws nothing and gives 0.  For
+    bounds up to ``2**32`` every other draw takes the next 32-bit half of the
+    raw output, low half first, all from one ``random_raw`` block, and is
+    Lemire's ``(x * b) >> 32`` (see :class:`Stream`).  When the low 32 bits
+    of some product ``x * b`` fall below ``b``, numpy may reject ``x`` and
+    draw again; this then returns ``None`` without testing further, as it
+    does for a bound above ``2**32``, and the caller draws through a
+    :class:`Stream` instead.
+    """
+    if max(bounds, default=1) > _TWO32:
+        return None
+    columns = [i for i, b in enumerate(bounds) if b > 1]
+    count = rounds * len(columns)
+    raw = np.random.PCG64(seed).random_raw(-(-count // 2))
+    # little-endian 32-bit halves of little-endian words: low, then high
+    halves = raw.astype("<u8", copy=False).view("<u4")[:count].reshape(rounds, len(columns))
+    limits = np.array([bounds[i] for i in columns], dtype=np.uint64)
+    products = halves * limits
+    if (products & _LOW32 < limits).any():
+        return None
+    out = np.zeros((rounds, len(bounds)), dtype=np.int64)
+    out[:, columns] = products >> _SHIFT32
+    return out

@@ -45,11 +45,15 @@ def _in_range(rows: np.ndarray | list[np.ndarray], norms: np.ndarray) -> tuple:
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity ``a.b / (|a||b|)``; raises on a zero vector or a
-    non-finite entry.  A vector whose norm lies outside [2**-500, 2**500]
-    is divided by its largest magnitude first."""
+    """Cosine similarity ``a.b / (|a||b|)``; raises on vectors of two
+    lengths, a zero vector or a non-finite entry.  A vector whose norm lies
+    outside [2**-500, 2**500] is divided by its largest magnitude first."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
+    if a.size != b.size:
+        raise ValueError(
+            f"cosine similarity needs vectors of one length, got {a.size} and {b.size}"
+        )
     with np.errstate(over="ignore"):
         norms = np.array([np.linalg.norm(a), np.linalg.norm(b)])
     (a, b), (na, nb) = _in_range([a, b], norms)

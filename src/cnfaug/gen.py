@@ -15,7 +15,12 @@ Three families:
 All instances are labeled eagerly with the DPLL oracle.  Corpora are
 reproducible: instance ``i`` of a corpus uses a seed derived from the corpus
 seed and the counter ``i``, and draws from a :class:`cnfaug._stream.Stream`
-on that seed.
+on that seed.  A UR instance's draws have bounds fixed by its shape, so it
+takes them all in one array pass (:func:`cnfaug._stream.integer_rounds`).
+It draws through the stream instead when that pass cannot give numpy's
+values (a draw in Lemire's rejection zone) and when numpy's sampler takes
+its tail-shuffle branch; the clauses are the same either way.  SR and PR
+stay on the stream: how many draws they make depends on the values drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stream import Stream
+from ._stream import Stream, floyd_shape, integer_rounds
 from .formula import Formula, Label, parse_dimacs, satisfies, serialize_dimacs
 from .oracle import solve_dpll
 
@@ -208,15 +213,16 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     )
 
 
-def _random_ksat(spec: GenSpec, seed: int, draw, **params) -> LabeledInstance:
+def _random_ksat(spec: GenSpec, seed: int, draw, clauses=None, **params) -> LabeledInstance:
     """Random k-SAT instance with an oracle-assigned label: each of the
     spec's clauses takes its variables from ``draw(stream)`` and a fair-coin
-    polarity for each."""
-    stream = Stream(seed)
-    clauses = []
-    for _ in range(spec.num_clauses):
-        literals = [-v if stream.integers(2) else v for v in draw(stream)]
-        clauses.append(tuple(sorted(literals, key=abs)))  # distinct variables: canonical
+    polarity for each, unless ``clauses`` already holds them."""
+    if clauses is None:
+        stream = Stream(seed)
+        clauses = []
+        for _ in range(spec.num_clauses):
+            literals = [-v if stream.integers(2) else v for v in draw(stream)]
+            clauses.append(tuple(sorted(literals, key=abs)))  # distinct variables: canonical
     formula = Formula._canonical(spec.num_vars, tuple(clauses))
     label = solve_dpll(formula).label
     meta = {"family": spec.family.value, "seed": seed, "num_vars": spec.num_vars,
@@ -224,14 +230,50 @@ def _random_ksat(spec: GenSpec, seed: int, draw, **params) -> LabeledInstance:
     return LabeledInstance(formula, label, meta)
 
 
+def _ur_clauses(n: int, m: int, k: int, seed: int) -> tuple[tuple[int, ...], ...] | None:
+    """The ``m`` clauses ``_random_ksat`` draws for UR, all at once; or
+    ``None`` when ``Stream.sample(n, k)`` takes numpy's tail-shuffle branch
+    or :func:`integer_rounds` cannot give the draws.
+
+    Each clause is ``Stream.sample(n, k)`` by Floyd's algorithm, then ``k``
+    coins, so its bounds are the same ``3k - 1`` every time: Floyd's
+    ``n-k+1 .. n``, the shuffle's ``k .. 2``, and ``2`` for each coin.  Floyd's
+    duplicate rule, the swaps, the signs and the sort by ``|lit|`` then run
+    over all clauses at once, in O(m k) memory and O(m k**2) comparisons.
+    """
+    if not floyd_shape(n, k):
+        return None
+    drawn = integer_rounds(seed, [*range(n - k + 1, n + 1), *range(k, 1, -1), *[2] * k], m)
+    if drawn is None:
+        return None
+    chosen = drawn[:, :k]  # a view: Floyd's draws become the sample in place
+    for t in range(1, k):
+        seen = (chosen[:, :t] == chosen[:, t, None]).any(axis=1)
+        chosen[seen, t] = n - k + t
+    rows = np.arange(m)
+    for i, j in zip(range(k - 1, 0, -1), drawn[:, k:2 * k - 1].T):
+        chosen[rows, i], chosen[rows, j] = chosen[rows, j], chosen[rows, i]
+    # variables are distinct within a clause, so sorting 2 * variable + coin
+    # sorts the literals by |lit| and keeps each coin with its variable
+    keys = np.sort(2 * chosen + drawn[:, 2 * k - 1:], axis=1)
+    variables = keys >> 1
+    literals = np.where(keys & 1, ~variables, variables + 1)
+    return tuple(map(tuple, literals.tolist()))
+
+
 def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
-    """Uniform random k-SAT instance with an oracle-assigned label."""
+    """Uniform random k-SAT instance with an oracle-assigned label.
+
+    The clauses come from one array pass (:func:`_ur_clauses`), or through a
+    :class:`Stream` clause by clause when that pass cannot give them.  Both
+    give the same clauses."""
     spec = GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
+    n, k = spec.num_vars, spec.clause_len
 
     def draw(stream: Stream) -> list[int]:
-        return [v + 1 for v in stream.sample(spec.num_vars, spec.clause_len)]
+        return [v + 1 for v in stream.sample(n, k)]
 
-    return _random_ksat(spec, seed, draw)
+    return _random_ksat(spec, seed, draw, _ur_clauses(n, spec.num_clauses, k, seed))
 
 
 def _power_weights(num_vars: int, exponent: float) -> np.ndarray:

@@ -54,6 +54,14 @@ def test_cosine_zero_norm_rejected():
         cosine_sim([0.0, 0.0], [1.0, 0.0])
 
 
+def test_cosine_length_mismatch_rejected_before_the_norms():
+    # an out-of-range norm and a zero norm are not what these calls report
+    for a, b in (([1e300, 1e300], [1.0]), ([0.0, 0.0], [1.0, 2.0, 3.0])):
+        message = f"^cosine similarity needs vectors of one length, got {len(a)} and {len(b)}$"
+        with pytest.raises(ValueError, match=message):
+            cosine_sim(a, b)
+
+
 def test_cosine_non_finite_norm_rejected():
     with pytest.raises(ValueError, match="non-finite norm"):
         cosine_sim([np.nan, 1.0], [1.0, 0.0])

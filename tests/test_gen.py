@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -19,6 +20,7 @@ from cnfaug import (
     gen_ur,
     load_corpus,
     make_clause,
+    oracle,
     read_manifest,
     satisfies,
     solve_brute,
@@ -35,6 +37,7 @@ from cnfaug.gen import (
     _power_cdf,
     _sr_bernoulli,
     _sr_geometric,
+    _ur_clauses,
     write_run,
 )
 from conftest import PR10, UR12, seeded_rng
@@ -153,6 +156,50 @@ def test_pr_matches_reference(shape):
     seeds = REFERENCE_SEEDS[:20] + REFERENCE_SEEDS[200:220] if slow else REFERENCE_SEEDS
     for seed in seeds:
         assert gen_pr(*shape, seed) == reference_gen_pr(*shape, seed), seed
+
+
+# Found by a search over seeds 0 .. 2 * 10**6: one 32-bit product of this
+# seed's (200, 2, 200) draws falls below numpy's rejection threshold, so
+# numpy draws that value again
+UR_REDRAW_SEED = 509982
+
+
+def test_ur_draws_through_the_stream_where_numpy_draws_again():
+    shape = (200, 2, 200)
+    assert _ur_clauses(*shape, UR_REDRAW_SEED) is None
+    assert gen_ur(*shape, UR_REDRAW_SEED) == reference_gen_ur(*shape, UR_REDRAW_SEED)
+
+
+def test_ur_literals_are_plain_ints():
+    # from the array pass and from the stream
+    for shape, seed in (((12, 51, 3), 0), ((200, 2, 200), 0), ((200, 2, 200), UR_REDRAW_SEED)):
+        clauses = gen_ur(*shape, seed).formula.clauses
+        assert all(type(lit) is int for clause in clauses for lit in clause), (shape, seed)
+
+
+@pytest.mark.parametrize(
+    "shape", [(10000, 60, 3), (10000, 3, 200), (10001, 3, 200), (20000, 2, 401)]
+)
+def test_ur_matches_reference_past_the_dpll_limit(shape, monkeypatch):
+    # 10,000 variables is the widest header numpy samples by Floyd's algorithm
+    # at any width, 200 of 10,001 the widest sample past it; 401 of 20,000
+    # takes numpy's tail shuffle, which gen_ur draws through the stream
+    monkeypatch.setattr(oracle, "MAX_VARS", shape[0])
+    for seed in (0, derive_seed(15, 0)):
+        assert gen_ur(*shape, seed) == reference_gen_ur(*shape, seed), seed
+
+
+def test_ur_draw_memory_follows_the_clauses():
+    # drawn before DPLL refuses the header; a table of clauses by variables
+    # would peak near 200 MB here, the clause-by-clause stream near 4 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="10000 variables exceeds the configured limit"):
+            gen_ur(10000, 20000, 3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_ur_refuses_shapes_outside_floyds_sampler():

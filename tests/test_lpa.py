@@ -27,7 +27,7 @@ from cnfaug import (
     variable_eliminate,
 )
 from cnfaug import derive_seed, lpa
-from cnfaug._stream import Stream
+from cnfaug._stream import Stream, integer_rounds
 from cnfaug.gen import _power_weights
 from cnfaug.lpa import _pure_variables
 from conftest import (
@@ -140,6 +140,35 @@ class TestStream:
                 assert stream.sample(n, k) == rng.choice(n, k, replace=False).tolist(), (n, k)
                 assert stream.integers(2**32) == int(rng.integers(2**32))
                 assert stream.random() == rng.random()
+
+    def test_integer_rounds_match_generator_call_for_call(self):
+        # bound patterns with 1s, 2s, small and 32-bit bounds; a product whose
+        # low 32 bits fall below its bound, where numpy may draw again, gives
+        # None, as does a bound above 2**32
+        pick = seeded_rng(29)
+        outcomes = {"values": 0, "none": 0}
+        for case in range(1500):
+            seed = case if case % 2 else int(pick.integers(2**64, dtype=np.uint64))
+            kinds = pick.integers(4, size=int(pick.integers(8)))
+            bounds = [(1, 2, int(pick.integers(1, 50)), int(pick.integers(1, 2**32)))[c]
+                      for c in kinds]
+            rounds = int(pick.integers(5))
+            words = np.random.PCG64(seed).random_raw(rounds * len(bounds)).tolist()
+            halves = iter([h for w in words for h in (w & 0xFFFFFFFF, w >> 32)])
+            in_zone = any((next(halves) * b) & 0xFFFFFFFF < b
+                          for _ in range(rounds) for b in bounds if b > 1)
+            got = integer_rounds(seed, bounds, rounds)
+            if in_zone:
+                assert got is None, (seed, bounds, rounds)
+                outcomes["none"] += 1
+                continue
+            rng = seeded_rng(seed)
+            assert got.dtype == np.int64 and got.shape == (rounds, len(bounds))
+            assert got.tolist() == [[int(rng.integers(b)) for b in bounds] for _ in range(rounds)]
+            outcomes["values"] += 1
+        assert min(outcomes.values()) > 300, outcomes
+        for bounds in ([2**32], [3, 2**32 + 1]):
+            assert integer_rounds(5, bounds, 1) is None
 
     def test_out_of_range_arguments_are_refused(self):
         stream = Stream(0)
