@@ -1,17 +1,19 @@
 """The one source of randomness: numpy ``Generator`` draws replayed from
-PCG64's raw output.
+PCG64's raw output, and the random clause drawn from them.
 
 Every seeded draw in :mod:`cnfaug.gen`, :mod:`cnfaug.lpa` and
 :mod:`cnfaug.laa` goes through a :class:`Stream` or, for a whole UR
-instance, through :func:`integer_rounds`.  For the calls it stands in for,
+instance, through :func:`random_clauses`.  For the calls it stands in for,
 a stream on ``seed`` returns exactly the values of
 ``numpy.random.Generator(numpy.random.PCG64(seed))``, so outputs stay a pure
 function of the seed and equal those of the numpy calls the generators and
 transformations were written with; per call it skips numpy's dispatch and
-array overhead.  :func:`integer_rounds` returns the same values for a fixed
-sequence of bounded draws in one array pass, or ``None`` when one of them
-would need numpy's rejection step, and its caller then draws through a
-:class:`Stream`.
+array overhead.  A random clause is a sample of variables, one fair coin
+each for its sign, sorted by variable (:meth:`Stream.clause`).  A UR
+instance's bounds are fixed by its shape, so :func:`random_clauses` takes
+all its clauses in one array pass (:func:`integer_rounds`); it draws them
+through a stream instead when a draw lands in Lemire's rejection zone,
+where numpy may draw again, or numpy samples by its tail shuffle.
 """
 
 from __future__ import annotations
@@ -124,6 +126,13 @@ class Stream:
             chosen[i], chosen[j] = chosen[j], chosen[i]
         return chosen
 
+    def clause(self, variables: Iterable[int]) -> tuple[int, ...]:
+        """The clause on the distinct 0-based ``variables``, as ``sample``
+        gives them: variable ``v`` is literal ``v + 1``, negated when its
+        ``integers(2)`` coin, drawn in order, comes up 1; sorted by ``|lit|``,
+        which is canonical for distinct variables."""
+        return tuple(sorted([-v - 1 if self.integers(2) else v + 1 for v in variables], key=abs))
+
     @staticmethod
     def cdf(p: Iterable[float]) -> list[float]:
         """The cumulative table ``Generator.choice(len(p), p=p)`` builds: the
@@ -172,3 +181,35 @@ def integer_rounds(seed: int, bounds: Sequence[int], rounds: int) -> np.ndarray 
     out = np.zeros((rounds, len(bounds)), dtype=np.int64)
     out[:, columns] = products >> _SHIFT32
     return out
+
+
+def random_clauses(n: int, m: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The ``m`` clauses ``stream.clause(stream.sample(n, k))`` draws on
+    ``stream = Stream(seed)``, from one :func:`integer_rounds` block when
+    that can give them, else through the stream.
+
+    Each clause is ``sample(n, k)`` by Floyd's algorithm, then ``k`` coins,
+    so its bounds are the same ``3k - 1`` every time: Floyd's
+    ``n-k+1 .. n``, the shuffle's ``k .. 2``, and ``2`` for each coin.  Floyd's
+    duplicate rule, the swaps, the signs and the sort by ``|lit|`` then run
+    over all clauses at once, in O(m k) memory and O(m k**2) comparisons.
+    """
+    drawn = None
+    if floyd_shape(n, k):
+        drawn = integer_rounds(seed, [*range(n - k + 1, n + 1), *range(k, 1, -1), *[2] * k], m)
+    if drawn is None:
+        stream = Stream(seed)
+        return tuple(stream.clause(stream.sample(n, k)) for _ in range(m))
+    chosen = drawn[:, :k]  # a view: Floyd's draws become the sample in place
+    for t in range(1, k):
+        seen = (chosen[:, :t] == chosen[:, t, None]).any(axis=1)
+        chosen[seen, t] = n - k + t
+    rows = np.arange(m)
+    for i, j in zip(range(k - 1, 0, -1), drawn[:, k:2 * k - 1].T):
+        chosen[rows, i], chosen[rows, j] = chosen[rows, j], chosen[rows, i]
+    # variables are distinct within a clause, so sorting 2 * variable + coin
+    # sorts the literals by |lit| and keeps each coin with its variable
+    keys = np.sort(2 * chosen + drawn[:, 2 * k - 1:], axis=1)
+    variables = keys >> 1
+    literals = np.where(keys & 1, ~variables, variables + 1)
+    return tuple(map(tuple, literals.tolist()))

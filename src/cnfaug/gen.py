@@ -15,12 +15,9 @@ Three families:
 All instances are labeled eagerly with the DPLL oracle.  Corpora are
 reproducible: instance ``i`` of a corpus uses a seed derived from the corpus
 seed and the counter ``i``, and draws from a :class:`cnfaug._stream.Stream`
-on that seed.  A UR instance's draws have bounds fixed by its shape, so it
-takes them all in one array pass (:func:`cnfaug._stream.integer_rounds`).
-It draws through the stream instead when that pass cannot give numpy's
-values (a draw in Lemire's rejection zone) and when numpy's sampler takes
-its tail-shuffle branch; the clauses are the same either way.  SR and PR
-stay on the stream: how many draws they make depends on the values drawn.
+on that seed.  The random clause lives in :mod:`cnfaug._stream`: SR and PR
+sign and sort each clause with :meth:`~cnfaug._stream.Stream.clause`, and
+UR takes all of its clauses from :func:`cnfaug._stream.random_clauses`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stream import Stream, floyd_shape, integer_rounds
+from . import oracle
+from ._stream import Stream, random_clauses
 from .formula import Formula, Label, parse_dimacs, satisfies, serialize_dimacs
 from .oracle import solve_dpll
 
@@ -145,8 +143,10 @@ class GenSpec:
                 raise ValueError("power_exponent must exceed 1")
             if not math.isfinite(self.power_exponent):
                 raise ValueError("power_exponent must be finite")
-            # gen_pr redraws until a clause has clause_len distinct variables
-            if _drawable(_power_cdf(self.num_vars, self.power_exponent)) < self.clause_len:
+            # gen_pr redraws until a clause has clause_len distinct variables,
+            # but draws nothing past DPLL's limit, where DPLL refuses the header
+            if self.num_vars <= oracle.MAX_VARS and _drawable(
+                    _power_cdf(self.num_vars, self.power_exponent)) < self.clause_len:
                 raise ValueError(
                     "power_exponent leaves fewer than clause_len variables that can be drawn"
                 )
@@ -188,8 +188,7 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     model: dict[int, bool] | None = None  # total model of the prefix, from its last solve
     while True:
         width = min(1 + _sr_bernoulli(stream) + _sr_geometric(stream), n)
-        literals = [-v - 1 if stream.integers(2) else v + 1 for v in stream.sample(n, width)]
-        clause = tuple(sorted(literals, key=abs))  # distinct variables: canonical
+        clause = stream.clause(stream.sample(n, width))
         clauses.append(clause)
         if model is not None and any(model[abs(lit)] == (lit > 0) for lit in clause):
             continue  # the model satisfies the whole prefix, so it is still SAT
@@ -213,16 +212,10 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     )
 
 
-def _random_ksat(spec: GenSpec, seed: int, draw, clauses=None, **params) -> LabeledInstance:
-    """Random k-SAT instance with an oracle-assigned label: each of the
-    spec's clauses takes its variables from ``draw(stream)`` and a fair-coin
-    polarity for each, unless ``clauses`` already holds them."""
-    if clauses is None:
-        stream = Stream(seed)
-        clauses = []
-        for _ in range(spec.num_clauses):
-            literals = [-v if stream.integers(2) else v for v in draw(stream)]
-            clauses.append(tuple(sorted(literals, key=abs)))  # distinct variables: canonical
+def _random_ksat(spec: GenSpec, seed: int, clauses: Iterable[tuple[int, ...]],
+                 **params) -> LabeledInstance:
+    """The random k-SAT instance of the spec's ``clauses`` (canonical), with
+    an oracle-assigned label."""
     formula = Formula._canonical(spec.num_vars, tuple(clauses))
     label = solve_dpll(formula).label
     meta = {"family": spec.family.value, "seed": seed, "num_vars": spec.num_vars,
@@ -230,50 +223,12 @@ def _random_ksat(spec: GenSpec, seed: int, draw, clauses=None, **params) -> Labe
     return LabeledInstance(formula, label, meta)
 
 
-def _ur_clauses(n: int, m: int, k: int, seed: int) -> tuple[tuple[int, ...], ...] | None:
-    """The ``m`` clauses ``_random_ksat`` draws for UR, all at once; or
-    ``None`` when ``Stream.sample(n, k)`` takes numpy's tail-shuffle branch
-    or :func:`integer_rounds` cannot give the draws.
-
-    Each clause is ``Stream.sample(n, k)`` by Floyd's algorithm, then ``k``
-    coins, so its bounds are the same ``3k - 1`` every time: Floyd's
-    ``n-k+1 .. n``, the shuffle's ``k .. 2``, and ``2`` for each coin.  Floyd's
-    duplicate rule, the swaps, the signs and the sort by ``|lit|`` then run
-    over all clauses at once, in O(m k) memory and O(m k**2) comparisons.
-    """
-    if not floyd_shape(n, k):
-        return None
-    drawn = integer_rounds(seed, [*range(n - k + 1, n + 1), *range(k, 1, -1), *[2] * k], m)
-    if drawn is None:
-        return None
-    chosen = drawn[:, :k]  # a view: Floyd's draws become the sample in place
-    for t in range(1, k):
-        seen = (chosen[:, :t] == chosen[:, t, None]).any(axis=1)
-        chosen[seen, t] = n - k + t
-    rows = np.arange(m)
-    for i, j in zip(range(k - 1, 0, -1), drawn[:, k:2 * k - 1].T):
-        chosen[rows, i], chosen[rows, j] = chosen[rows, j], chosen[rows, i]
-    # variables are distinct within a clause, so sorting 2 * variable + coin
-    # sorts the literals by |lit| and keeps each coin with its variable
-    keys = np.sort(2 * chosen + drawn[:, 2 * k - 1:], axis=1)
-    variables = keys >> 1
-    literals = np.where(keys & 1, ~variables, variables + 1)
-    return tuple(map(tuple, literals.tolist()))
-
-
 def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> LabeledInstance:
-    """Uniform random k-SAT instance with an oracle-assigned label.
-
-    The clauses come from one array pass (:func:`_ur_clauses`), or through a
-    :class:`Stream` clause by clause when that pass cannot give them.  Both
-    give the same clauses."""
+    """Uniform random k-SAT instance with an oracle-assigned label; the
+    clauses come from :func:`cnfaug._stream.random_clauses`."""
     spec = GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
-    n, k = spec.num_vars, spec.clause_len
-
-    def draw(stream: Stream) -> list[int]:
-        return [v + 1 for v in stream.sample(n, k)]
-
-    return _random_ksat(spec, seed, draw, _ur_clauses(n, spec.num_clauses, k, seed))
+    clauses = random_clauses(spec.num_vars, spec.num_clauses, spec.clause_len, seed)
+    return _random_ksat(spec, seed, clauses)
 
 
 def _power_weights(num_vars: int, exponent: float) -> np.ndarray:
@@ -306,19 +261,21 @@ def gen_pr(
     """Power-law random k-SAT: variable frequency follows ``i**-exponent``.
 
     Distinct variables per clause are enforced by redrawing duplicates.
+    Past DPLL's variable limit it builds no table and draws nothing.
     """
     spec = GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
-    cdf = _power_cdf(spec.num_vars, spec.power_exponent)
-
-    def draw(stream: Stream) -> list[int]:
-        chosen: list[int] = []
-        while len(chosen) < spec.clause_len:
-            v = stream.pick(cdf) + 1
-            if v not in chosen:
-                chosen.append(v)
-        return chosen
-
-    return _random_ksat(spec, seed, draw, power_exponent=spec.power_exponent)
+    clauses = []
+    if spec.num_vars <= oracle.MAX_VARS:
+        cdf = _power_cdf(spec.num_vars, spec.power_exponent)
+        stream = Stream(seed)
+        for _ in range(spec.num_clauses):
+            chosen: list[int] = []
+            while len(chosen) < spec.clause_len:
+                v = stream.pick(cdf)
+                if v not in chosen:
+                    chosen.append(v)
+            clauses.append(stream.clause(chosen))
+    return _random_ksat(spec, seed, clauses, power_exponent=spec.power_exponent)
 
 
 def gen_corpus(spec: GenSpec, count: int, seed: int) -> list[LabeledInstance]:

@@ -11,9 +11,11 @@ function of (formula, rate, seed).
 Variable elimination, clause resolution, subsumption and the pure-variable
 scan work on one integer bitmask per clause, in the literal-bit convention
 of :mod:`cnfaug.formula` (``+v`` is bit ``2(v-1)``, ``-v`` bit ``2(v-1)+1``);
-VE and CR find complementary occurrences through one per-literal index,
-sized by the literals that occur: a variable that occurs in no clause is
-never a VE candidate and never counted as eliminated.
+VE and CR find complementary occurrences through one per-literal index
+with a list for every literal up to the highest that occurs, so their work
+grows with that variable's index, not with how many variables occur.  A
+variable that occurs in no clause is never a VE candidate and never
+counted as eliminated.
 """
 
 from __future__ import annotations
@@ -94,10 +96,8 @@ def add_unit_literal(formula: Formula, rate: float, seed: int) -> Formula:
     extras: list[Clause] = []
     for _ in range(count):
         width = min(1 + stream.integers(3), formula.num_vars)
-        chosen = stream.sample(formula.num_vars, width)
-        others = [-v - 1 if stream.integers(2) else v + 1 for v in chosen]
         # canonical: distinct variables below ``fresh``, then the fresh literal
-        extras.append((*sorted(others, key=abs), lit))
+        extras.append((*stream.clause(stream.sample(formula.num_vars, width)), lit))
 
     return Formula._canonical(fresh, ((lit,), *body, *extras))
 

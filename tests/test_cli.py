@@ -179,6 +179,16 @@ def test_gen_dpll_variable_limit_is_data_error(tmp_path, capsys):
     assert err.startswith("error:") and "201 variables" in err
 
 
+def test_gen_pr_past_the_dpll_limit_is_data_error(tmp_path, capsys):
+    # refused before a power-law table of a million weights is built
+    out = tmp_path / "wide"
+    code = main(["gen", "--family", "pr", "--vars", "1000000", "--clauses", "1", "--k", "3",
+                 "--exp", "2", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: 1000000 variables exceeds the configured limit 200\n"
+
+
 def test_gen_ur_outside_the_sampler_is_data_error(tmp_path, capsys):
     # numpy draws 401 of 20000 by a tail shuffle, which the stream replays
     out = tmp_path / "wide"

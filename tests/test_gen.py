@@ -27,7 +27,7 @@ from cnfaug import (
     solve_dpll,
     write_corpus,
 )
-from cnfaug._stream import Stream
+from cnfaug._stream import Stream, integer_rounds, random_clauses
 from cnfaug.gen import (
     PR40,
     SR_BERNOULLI_P,
@@ -37,7 +37,6 @@ from cnfaug.gen import (
     _power_cdf,
     _sr_bernoulli,
     _sr_geometric,
-    _ur_clauses,
     write_run,
 )
 from conftest import PR10, UR12, seeded_rng
@@ -165,9 +164,26 @@ UR_REDRAW_SEED = 509982
 
 
 def test_ur_draws_through_the_stream_where_numpy_draws_again():
-    shape = (200, 2, 200)
-    assert _ur_clauses(*shape, UR_REDRAW_SEED) is None
+    shape = n, m, k = (200, 2, 200)
+    ur_bounds = [*range(n - k + 1, n + 1), *range(k, 1, -1), *[2] * k]
+    assert integer_rounds(UR_REDRAW_SEED, ur_bounds, m) is None
     assert gen_ur(*shape, UR_REDRAW_SEED) == reference_gen_ur(*shape, UR_REDRAW_SEED)
+
+
+@pytest.mark.parametrize(
+    "shape, seeds",
+    [((12, 51, 3), REFERENCE_SEEDS[:40] + REFERENCE_SEEDS[200:240]),
+     ((4, 6, 4), range(20)),  # k == n: Floyd's first bound is 1 and draws nothing
+     ((200, 2, 200), (0, UR_REDRAW_SEED)),  # a draw in Lemire's rejection zone
+     ((20000, 2, 401), (0, 1)),  # numpy's tail shuffle
+     ((2**33, 4, 3), (0, 1))],  # bounds past 2**32
+)
+def test_random_clauses_are_the_scalar_clauses(shape, seeds):
+    n, m, k = shape
+    for seed in seeds:
+        stream = Stream(seed)
+        scalar = tuple(stream.clause(stream.sample(n, k)) for _ in range(m))
+        assert random_clauses(n, m, k, seed) == scalar, seed
 
 
 def test_ur_literals_are_plain_ints():
@@ -200,6 +216,19 @@ def test_ur_draw_memory_follows_the_clauses():
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000
+
+
+def test_pr_draws_nothing_past_the_dpll_limit():
+    # a power-law table of 10**6 weights peaked near 97 MB before DPLL
+    # refused the header
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000000 variables exceeds the configured limit"):
+            gen_pr(10**6, 1, 3, 2.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ur_refuses_shapes_outside_floyds_sampler():

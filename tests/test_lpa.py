@@ -138,6 +138,11 @@ class TestStream:
             for n, k in shapes:
                 rng, stream = seeded_rng(seed), Stream(seed)
                 assert stream.sample(n, k) == rng.choice(n, k, replace=False).tolist(), (n, k)
+                # a clause: the same sample, then one integers(2) coin per variable
+                variables = rng.choice(n, k, replace=False).tolist()
+                coins = [int(rng.integers(2)) for _ in variables]
+                literals = [-v - 1 if c else v + 1 for v, c in zip(variables, coins)]
+                assert stream.clause(stream.sample(n, k)) == make_clause(literals), (n, k)
                 assert stream.integers(2**32) == int(rng.integers(2**32))
                 assert stream.random() == rng.random()
 
