@@ -26,10 +26,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from numbers import Real
 from operator import index
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -212,10 +213,13 @@ def gen_sr(num_vars: int | tuple[int, int], seed: int) -> tuple[LabeledInstance,
     )
 
 
-def _random_ksat(spec: GenSpec, seed: int, clauses: Iterable[tuple[int, ...]],
+def _random_ksat(spec: GenSpec, seed: int, draw: Callable[[], Iterable[tuple[int, ...]]],
                  **params) -> LabeledInstance:
-    """The random k-SAT instance of the spec's ``clauses`` (canonical), with
-    an oracle-assigned label."""
+    """The random k-SAT instance of the clauses ``draw()`` gives (made
+    canonical), with an oracle-assigned label.  Past DPLL's variable limit
+    ``draw`` is not called: DPLL refuses the header of the clause-free
+    formula with its usual message."""
+    clauses = draw() if spec.num_vars <= oracle.MAX_VARS else ()
     formula = Formula._canonical(spec.num_vars, tuple(clauses))
     label = solve_dpll(formula).label
     meta = {"family": spec.family.value, "seed": seed, "num_vars": spec.num_vars,
@@ -227,8 +231,8 @@ def gen_ur(num_vars: int, num_clauses: int, clause_len: int, seed: int) -> Label
     """Uniform random k-SAT instance with an oracle-assigned label; the
     clauses come from :func:`cnfaug._stream.random_clauses`."""
     spec = GenSpec(GenFamily.UR, num_vars, num_clauses, clause_len)
-    clauses = random_clauses(spec.num_vars, spec.num_clauses, spec.clause_len, seed)
-    return _random_ksat(spec, seed, clauses)
+    return _random_ksat(spec, seed, partial(
+        random_clauses, spec.num_vars, spec.num_clauses, spec.clause_len, seed))
 
 
 def _power_weights(num_vars: int, exponent: float) -> np.ndarray:
@@ -251,6 +255,18 @@ def _drawable(cdf: list[float]) -> int:
     return sum(1 for lo, hi in zip([0.0, *scaled], scaled) if math.ceil(lo) < hi)
 
 
+def _pr_clauses(spec: GenSpec, seed: int) -> Iterator[tuple[int, ...]]:
+    cdf = _power_cdf(spec.num_vars, spec.power_exponent)
+    stream = Stream(seed)
+    for _ in range(spec.num_clauses):
+        chosen: list[int] = []
+        while len(chosen) < spec.clause_len:
+            v = stream.pick(cdf)
+            if v not in chosen:
+                chosen.append(v)
+        yield stream.clause(chosen)
+
+
 def gen_pr(
     num_vars: int,
     num_clauses: int,
@@ -261,21 +277,10 @@ def gen_pr(
     """Power-law random k-SAT: variable frequency follows ``i**-exponent``.
 
     Distinct variables per clause are enforced by redrawing duplicates.
-    Past DPLL's variable limit it builds no table and draws nothing.
     """
     spec = GenSpec(GenFamily.PR, num_vars, num_clauses, clause_len, power_exponent)
-    clauses = []
-    if spec.num_vars <= oracle.MAX_VARS:
-        cdf = _power_cdf(spec.num_vars, spec.power_exponent)
-        stream = Stream(seed)
-        for _ in range(spec.num_clauses):
-            chosen: list[int] = []
-            while len(chosen) < spec.clause_len:
-                v = stream.pick(cdf)
-                if v not in chosen:
-                    chosen.append(v)
-            clauses.append(stream.clause(chosen))
-    return _random_ksat(spec, seed, clauses, power_exponent=spec.power_exponent)
+    return _random_ksat(spec, seed, partial(_pr_clauses, spec, seed),
+                        power_exponent=spec.power_exponent)
 
 
 def gen_corpus(spec: GenSpec, count: int, seed: int) -> list[LabeledInstance]:

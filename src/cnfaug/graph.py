@@ -80,12 +80,12 @@ def build_lig(formula: Formula, plus: bool = True) -> LigGraph:
     A literal's node is computed inline; it equals :func:`literal_node` and
     the literal's bit in :func:`~cnfaug.formula.clause_mask`.
     """
-    edges = {
+    edges = frozenset(
         (2 * lit - 2 if lit > 0 else -2 * lit - 1, ci)
         for ci, clause in enumerate(formula.clauses)
         for lit in clause
-    }
-    return LigGraph(formula.num_vars, formula.num_clauses, frozenset(edges), plus)
+    )
+    return LigGraph(formula.num_vars, formula.num_clauses, edges, plus)
 
 
 def to_formula(graph: LigGraph) -> Formula:
@@ -105,32 +105,22 @@ def to_formula(graph: LigGraph) -> Formula:
     return Formula(graph.num_vars, tuple(map(tuple, buckets)))
 
 
-def graph_to_json(
-    graph: LigGraph, *, source: str | None = None, chain: str | None = None
-) -> str:
-    """Serialize a graph to the v1 JSON document.
-
-    The text is the ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``
-    layout of the v1 document: keys sorted, edges sorted, two-space indent.
-    It is written directly, because ``json.dumps`` with an indent runs the
-    pure-Python encoder; every scalar still goes through ``json.dumps``, so
-    escaping and ``null``/``true``/``false`` are the encoder's own.
-    """
-    edges = ",\n    ".join(
-        f"[\n      {l},\n      {c}\n    ]" for l, c in sorted(graph.cl_edges)
-    )
-    cl_edges = f"[\n    {edges}\n  ]" if edges else "[]"
-    dumps = json.dumps
-    return (
-        f'{{\n  "cl_edges": {cl_edges},\n'
-        f'  "literal_indexing": {dumps(LITERAL_INDEXING)},\n'
-        f'  "num_clauses": {dumps(graph.num_clauses)},\n'
-        f'  "num_vars": {dumps(graph.num_vars)},\n'
-        f'  "provenance": {{\n    "chain": {dumps(chain)},\n    "source": {dumps(source)}\n  }},\n'
-        f'  "schema": {dumps(SCHEMA_NAME)},\n'
-        f'  "schema_version": {dumps(SCHEMA_VERSION)},\n'
-        f'  "var_edges": {dumps(graph.plus)}\n}}\n'
-    )
+def graph_to_json(graph: LigGraph, *, source: str | None = None, chain: str | None = None) -> str:
+    """Serialize a graph to the v1 JSON document: edges sorted, then one line
+    of ``json.dumps(doc, sort_keys=True)`` (default separators, ASCII
+    escapes) and a newline."""
+    doc = {
+        "cl_edges": sorted(graph.cl_edges),
+        "literal_indexing": LITERAL_INDEXING,
+        "num_clauses": graph.num_clauses,
+        "num_vars": graph.num_vars,
+        "provenance": {"chain": chain, "source": source},
+        "schema": SCHEMA_NAME,
+        "schema_version": SCHEMA_VERSION,
+        "var_edges": graph.plus,
+    }
+    # the document holds no cycle, so the encoder skips its per-list cycle check
+    return json.dumps(doc, sort_keys=True, check_circular=False) + "\n"
 
 
 def _count(doc: dict, key: str) -> int:

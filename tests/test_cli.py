@@ -189,8 +189,19 @@ def test_gen_pr_past_the_dpll_limit_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 1000000 variables exceeds the configured limit 200\n"
 
 
+def test_gen_ur_past_the_dpll_limit_is_data_error(tmp_path, capsys):
+    # refused before twenty million clauses are drawn
+    out = tmp_path / "wide"
+    code = main(["gen", "--family", "ur", "--vars", "1000", "--clauses", "20000000", "--k", "3",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: 1000 variables exceeds the configured limit 200\n"
+
+
 def test_gen_ur_outside_the_sampler_is_data_error(tmp_path, capsys):
-    # numpy draws 401 of 20000 by a tail shuffle, which the stream replays
+    # numpy would draw 401 of 20000 by a tail shuffle; DPLL's variable limit
+    # refuses the header before any clause is drawn
     out = tmp_path / "wide"
     code = main(["gen", "--family", "ur", "--vars", "20000", "--clauses", "1", "--k", "401",
                  "--count", "1", "--out", str(out)])
@@ -480,7 +491,9 @@ def test_export_and_reimport(tmp_path):
     from cnfaug import build_lig, graph_from_json
 
     for gpath in graphs:
-        doc = graph_from_json(gpath.read_text())
+        text = gpath.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        doc = graph_from_json(text)
         direct = build_lig(parse_dimacs((src / (gpath.stem + ".cnf")).read_text()))
         assert doc == direct
 
@@ -743,7 +756,7 @@ PINNED_DIGESTS = {
     "SG": "9c8cccf61d431678ce871be814b90bd782569726404ae158e83902bb1d8ccd32",
     "PL": "2ea5d4285ca432c477db5db7c43676b56415452407ff0b434a3d66572080dcd4",
     "pair": "dad608caa2aa95e7e02ffea02709b206e04fcb1b2e59ca89f78511c625b828a7",
-    "graph": "d534c36e04ae5ad9bc0ce9bf13e8ea694df0b6a409c462e2157630ea82721ae9",
+    "graph": "f2ac8d7710a26282684a882d31f45b8ffb06c9be0c49c198bbfab517b277a4d9",
 }
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from bisect import bisect_right
 
@@ -206,16 +207,32 @@ def test_ur_matches_reference_past_the_dpll_limit(shape, monkeypatch):
 
 
 def test_ur_draw_memory_follows_the_clauses():
-    # drawn before DPLL refuses the header; a table of clauses by variables
-    # would peak near 200 MB here, the clause-by-clause stream near 4 MB
+    # UR's array pass at a header past DPLL's limit; a table of clauses by
+    # variables would peak near 200 MB here, the clause-by-clause stream
+    # near 4 MB
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="10000 variables exceeds the configured limit"):
-            gen_ur(10000, 20000, 3, 7)
+        clauses = random_clauses(10000, 20000, 3, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(clauses) == 20000
     assert peak < 16_000_000
+
+
+def test_ur_draws_nothing_past_the_dpll_limit():
+    # drawing these two million clauses took some 18 s and 356 MB before
+    # DPLL refused the header
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="1000 variables exceeds the configured limit"):
+            gen_ur(1000, 2_000_000, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000
 
 
 def test_pr_draws_nothing_past_the_dpll_limit():
@@ -232,8 +249,9 @@ def test_pr_draws_nothing_past_the_dpll_limit():
 
 
 def test_ur_refuses_shapes_outside_floyds_sampler():
-    # numpy draws 401 of 20000 by a tail shuffle; the stream replays it, and
-    # DPLL's variable limit refuses the formula
+    # numpy would draw 401 of 20000 by a tail shuffle, but DPLL's variable
+    # limit refuses the header before any clause is drawn
+    # (test_random_clauses_are_the_scalar_clauses covers the shuffle)
     for seed in (0, derive_seed(15, 0)):
         with pytest.raises(ValueError, match="20000 variables"):
             gen_ur(20000, 1, 401, seed)

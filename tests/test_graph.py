@@ -23,17 +23,14 @@ from conftest import formula_of, non_canonical, small_formulas
 # (x | -y | -z) & (-x | y | z) with x,y,z = 1,2,3
 THREE_VAR = formula_of(3, [1, -2, -3], [-1, 2, 3])
 
-# graph_to_json(build_lig(THREE_VAR), source="a.cnf", chain="SC"), as the
-# json.dumps writer produced it; written out so this pin needs no json module
+# graph_to_json(build_lig(THREE_VAR), source="a.cnf", chain="SC"): one line,
+# keys and edges sorted; written out so this pin needs no json module
 THREE_VAR_DOCUMENT = (
-    '{\n  "cl_edges": [\n    [\n      0,\n      0\n    ],\n    [\n      1,\n      1\n    ],\n'
-    '    [\n      2,\n      1\n    ],\n    [\n      3,\n      0\n    ],\n'
-    '    [\n      4,\n      1\n    ],\n    [\n      5,\n      0\n    ]\n  ],\n'
-    '  "literal_indexing": "positive literal of variable v (1-based) is node 2*(v-1); '
-    'negative literal is 2*(v-1)+1; complement = index XOR 1",\n'
-    '  "num_clauses": 2,\n  "num_vars": 3,\n'
-    '  "provenance": {\n    "chain": "SC",\n    "source": "a.cnf"\n  },\n'
-    '  "schema": "cnfaug.graph",\n  "schema_version": 1,\n  "var_edges": true\n}\n'
+    '{"cl_edges": [[0, 0], [1, 1], [2, 1], [3, 0], [4, 1], [5, 0]], '
+    '"literal_indexing": "positive literal of variable v (1-based) is node 2*(v-1); '
+    'negative literal is 2*(v-1)+1; complement = index XOR 1", '
+    '"num_clauses": 2, "num_vars": 3, "provenance": {"chain": "SC", "source": "a.cnf"}, '
+    '"schema": "cnfaug.graph", "schema_version": 1, "var_edges": true}\n'
 )
 
 # provenance values: absent, plain names, and strings the encoder must escape
@@ -47,7 +44,8 @@ PROVENANCE = [
 def reference_graph_to_json(
     graph: LigGraph, *, source: str | None = None, chain: str | None = None
 ) -> str:
-    """The former writer: the v1 document through json.dumps(indent=2)."""
+    """An independent writer: the v1 document, edges as lists, through the
+    default json.dumps with sorted keys."""
     doc = {
         "schema": SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
@@ -58,7 +56,7 @@ def reference_graph_to_json(
         "var_edges": graph.plus,
         "provenance": {"source": source, "chain": chain},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_literal_node_convention():
